@@ -12,7 +12,8 @@
 //! 5. emits one JSON object per program into `BENCH_dtrg.json`:
 //!    median ns/event for each mode, the cached-vs-uncached improvement
 //!    factor, slowdown vs the uninstrumented run, and the cache
-//!    hit/miss counters (memo + shadow fast path).
+//!    hit/miss counters (memo + shadow fast path). The file's header
+//!    records the host's core count (`host_cores`).
 //!
 //! Sampling reuses the in-tree runner's protocol
 //! ([`futrace_bench::runner`]): `FUTRACE_BENCH_WARMUP` untimed then
@@ -357,9 +358,12 @@ fn main() {
         }
     }
 
+    // Every figure is a measurement on this host; the core count says
+    // which host class it holds for (the online rows depend on it most).
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let body: Vec<String> = results.iter().map(|r| r.to_json()).collect();
     let json = format!(
-        "{{\n  \"harness\": \"dtrgperf\",\n  \"unit\": \"ns\",\n  \"programs\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"harness\": \"dtrgperf\",\n  \"host_cores\": {host_cores},\n  \"unit\": \"ns\",\n  \"programs\": [\n{}\n  ]\n}}\n",
         body.join(",\n")
     );
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

@@ -5,7 +5,7 @@
 
 use crate::dtrg::Dtrg;
 use futrace_util::ids::TaskId;
-use futrace_util::FxHashMap;
+use futrace_util::{FxHashMap, FxHashSet};
 use std::fmt::Write as _;
 
 /// Renders the DTRG's current state as a DOT document.
@@ -65,13 +65,16 @@ pub fn to_dot(dtrg: &mut Dtrg, title: &str) -> String {
     for i in 0..n {
         let t = TaskId::from_index(i);
         // Only draw each set's nt list once, from its representative-most
-        // member (the first member encountered per set key).
-
-        let data_nt: Vec<TaskId> = dtrg.set_data(t).nt.to_vec();
+        // member (the first member encountered per set key). A merged list
+        // may repeat a source or name a member of the set itself; draw
+        // each outside source once.
         let key = dtrg.set_data(t).interval.pre;
         if groups[&key][0] == t {
-            for p in data_nt {
-                let _ = writeln!(out, "  t{} -> t{} [color=red, label=\"nt\"];", p.0, t.0);
+            let mut drawn = FxHashSet::default();
+            for p in dtrg.set_data(t).nt.to_vec() {
+                if drawn.insert(p) && !dtrg.same_set(p, t) {
+                    let _ = writeln!(out, "  t{} -> t{} [color=red, label=\"nt\"];", p.0, t.0);
+                }
             }
         }
         if let Some(l) = dtrg.set_data(t).lsa {
@@ -108,6 +111,38 @@ mod tests {
         assert!(dot.contains("lsa"), "lsa pointer rendered");
         assert!(dot.contains("live"), "live sets marked");
         assert!(dot.trim_end().ends_with('}'));
+    }
+
+    #[test]
+    fn merged_nt_repeats_and_self_edges_are_drawn_once_or_not_at_all() {
+        // Future 5 gets sibling 4; main gets 5 and then 4, so main's
+        // reused nt list names its own member 4. Futures 2 and 3 both get
+        // sibling 1; main gets both, so its list holds source 1 twice.
+        let mut g = Dtrg::new();
+        let m = TaskId::MAIN;
+        let t = TaskId;
+        g.on_task_create(m, t(1), TaskKind::Future);
+        g.on_task_end(t(1));
+        for f in [2, 3] {
+            g.on_task_create(m, t(f), TaskKind::Future);
+            g.on_get(t(f), t(1));
+            g.on_task_end(t(f));
+        }
+        g.on_task_create(m, t(4), TaskKind::Future);
+        g.on_task_end(t(4));
+        g.on_task_create(m, t(5), TaskKind::Future);
+        g.on_get(t(5), t(4));
+        g.on_task_end(t(5));
+        for f in [5, 4, 2, 3] {
+            g.on_get(m, t(f));
+        }
+        let nt = g.set_data(m).nt.to_vec();
+        assert_eq!(nt.iter().filter(|&&p| p == t(1)).count(), 2, "{nt:?}");
+        assert!(nt.contains(&t(4)), "self-edge kept in the list: {nt:?}");
+        let dot = to_dot(&mut g, "dups");
+        assert_eq!(dot.matches("t1 -> t0 [color=red").count(), 1, "{dot}");
+        assert!(!dot.contains("t4 -> t0 [color=red"), "{dot}");
+        assert_eq!(dot.matches("color=red").count(), 1, "{dot}");
     }
 
     #[test]

@@ -20,16 +20,24 @@
 //!    non-tree join (`lsa`), so `Visit` (Algorithm 10) only walks the
 //!    "significant" part of the spawn path.
 //!
-//! `Precede` is implemented iteratively (explicit work stack + visited set
-//! keyed by set representative) rather than recursively: a wavefront
-//! program like Smith-Waterman can chain thousands of non-tree edges, which
-//! would overflow the call stack, and the visited set gives the
-//! "each non-tree edge visited once" bound of Theorem 1.
+//! `Precede` is implemented iteratively (explicit work stack + visited
+//! marks) rather than recursively: a wavefront program like Smith-Waterman
+//! can chain thousands of non-tree edges, which would overflow the call
+//! stack. A set is marked visited by stamping its representative's slot in
+//! a per-task `u32` array with the query's generation number, so each set
+//! is expanded at most once per query (the "each non-tree edge visited
+//! once" bound of Theorem 1) and starting a query costs O(1).
+//!
+//! `Merge` appends the smaller `nt` list onto the larger one without
+//! deduplicating (DESIGN, "Linear-time Merge and Visit"), so a stored list
+//! may hold a source twice or a source inside its own set. Neither changes
+//! a query: `Visit` marks a set before pushing its `nt`, so such entries
+//! are found already visited and never expanded.
 
 use futrace_runtime::monitor::TaskKind;
 use futrace_util::ids::TaskId;
 use futrace_util::interval::{Interval, IntervalLabeler};
-use futrace_util::{FxHashMap, FxHashSet, UnionFind};
+use futrace_util::{FxHashMap, UnionFind};
 
 /// Inline capacity of [`NtSet`]. The paper observes (§5) that producers
 /// and consumers sit 1–2 non-tree hops apart, and across the benchsuite
@@ -100,9 +108,8 @@ impl NtSet {
         self.as_slice().to_vec()
     }
 
-    /// Appends `t` (no deduplication — callers check [`NtSet::contains`]
-    /// first, mirroring the old `Vec` usage), spilling when the inline
-    /// buffer is full.
+    /// Appends `t` without deduplication, spilling when the inline buffer
+    /// is full.
     pub fn push(&mut self, t: TaskId) {
         match self {
             NtSet::Inline { len, buf } => {
@@ -119,16 +126,6 @@ impl NtSet {
             NtSet::Spilled(v) => v.push(t),
         }
     }
-
-    /// Unions `other` into `self`, deduplicating (Algorithm 7's
-    /// `nt := nt_A ∪ nt_B`).
-    pub fn merge_from(&mut self, other: &NtSet) {
-        for &t in other.as_slice() {
-            if !self.contains(t) {
-                self.push(t);
-            }
-        }
-    }
 }
 
 /// Per-set attributes (the record the paper attaches to every disjoint
@@ -138,7 +135,8 @@ pub struct SetData {
     /// Interval label of the set — the label of the member closest to the
     /// spawn-tree root.
     pub interval: Interval,
-    /// Sources of non-tree join edges into any member of this set.
+    /// Sources of non-tree join edges into any member of this set. After
+    /// a merge it may repeat a source or name a member of the set itself.
     pub nt: NtSet,
     /// Lowest significant ancestor: the nearest ancestor task whose set had
     /// performed a non-tree join when this task was spawned.
@@ -202,12 +200,12 @@ pub struct Dtrg {
     task_own: Vec<Interval>,
     /// Scratch for `precede` (kept to avoid per-query allocation).
     visit_stack: Vec<TaskId>,
-    /// Visited-set fast path: realistic queries (paper §5: producers and
-    /// consumers sit 1–2 non-tree hops apart) expand a handful of nodes,
-    /// so a linear-scanned small vector beats hashing; the hash set only
-    /// takes over when a query blows past the inline capacity.
-    visited_small: Vec<usize>,
-    visited: FxHashSet<usize>,
+    /// Visited marks for `precede`, indexed by set representative: a set
+    /// is visited in the current query iff its slot equals `visit_gen`.
+    /// Bumping the generation clears every mark at once; the array is
+    /// zeroed only when the generation wraps.
+    visited: Vec<u32>,
+    visit_gen: u32,
     /// Graph-mutation epoch: bumped exactly when an ordering edge is added
     /// between existing nodes — a real set union (merging `get`, finish
     /// end) or a newly stored non-tree predecessor. `on_task_create` /
@@ -253,8 +251,8 @@ impl Dtrg {
             task_kind: vec![TaskKind::Main],
             task_own: vec![own],
             visit_stack: Vec::new(),
-            visited_small: Vec::new(),
-            visited: FxHashSet::default(),
+            visited: vec![0],
+            visit_gen: 0,
             epoch: 0,
             memo: FxHashMap::default(),
             memo_epoch: 0,
@@ -349,6 +347,7 @@ impl Dtrg {
         self.task_parent.push(parent.0);
         self.task_kind.push(kind);
         self.task_own.push(own);
+        self.visited.push(0);
     }
 
     /// Algorithm 3: task termination. Replaces the temporary postorder with
@@ -368,21 +367,46 @@ impl Dtrg {
     /// only when the union actually joins two distinct sets (a repeated
     /// `get` on an already-merged future adds no edge, so cached verdicts
     /// stay valid).
+    ///
+    /// The union is linear in the smaller list: the larger `nt` list is
+    /// kept and the smaller one's entries are appended, minus sources that
+    /// already lie in either merging set (they would point into the merged
+    /// set itself). Nothing is deduplicated; see the module docs for why
+    /// repeats and self-edges leave every query unchanged.
     fn merge(&mut self, a: TaskId, b: TaskId) {
         self.counters.merges += 1;
-        if self.sets.same_set(a.index(), b.index()) {
+        let ra = self.sets.find(a.index());
+        let rb = self.sets.find(b.index());
+        if ra == rb {
             return;
         }
         self.epoch += 1;
-        self.sets.union_with(a.index(), b.index(), |pa, pb| {
-            let mut nt = pa.nt;
-            nt.merge_from(&pb.nt);
-            SetData {
-                interval: pa.interval,
-                nt,
-                lsa: pa.lsa,
+        let nt_a = std::mem::take(&mut self.sets.payload_mut(ra).nt);
+        let nt_b = std::mem::take(&mut self.sets.payload_mut(rb).nt);
+        let (mut nt, smaller) = if nt_a.len() >= nt_b.len() {
+            (nt_a, nt_b)
+        } else {
+            (nt_b, nt_a)
+        };
+        for &t in smaller.as_slice() {
+            let rt = self.sets.find(t.index());
+            if rt != ra && rt != rb {
+                nt.push(t);
             }
-        });
+        }
+        self.sets.union_with(ra, rb, |pa, _| SetData { nt, ..pa });
+    }
+
+    /// Marks set `r` visited in the current `precede` query; false if it
+    /// already was.
+    #[inline]
+    fn mark_visited(&mut self, r: usize) -> bool {
+        let slot = &mut self.visited[r];
+        if *slot == self.visit_gen {
+            return false;
+        }
+        *slot = self.visit_gen;
+        true
     }
 
     /// Algorithm 4: `get()` by task `a` on future task `b`. Merges when the
@@ -463,13 +487,12 @@ impl Dtrg {
         }
 
         debug_assert!(self.visit_stack.is_empty());
-        self.visited_small.clear();
-        let mut spilled = false;
+        self.visit_gen = self.visit_gen.wrapping_add(1);
+        if self.visit_gen == 0 {
+            self.visited.fill(0);
+            self.visit_gen = 1;
+        }
         self.visit_stack.push(b);
-
-        // Inline capacity of the small visited set; past this, spill into
-        // the hash set (rare: only adversarially long non-tree chains).
-        const SMALL: usize = 24;
 
         // Breadth-first examination order (index walk = FIFO): the paper
         // observes producers and consumers sit 1–2 non-tree hops apart, so
@@ -483,21 +506,8 @@ impl Dtrg {
             let t = self.visit_stack[head];
             head += 1;
             let rt = self.sets.find(t.index());
-            // Visited check: linear scan of the small vec, hash set once
-            // spilled.
-            if spilled {
-                if !self.visited.insert(rt) {
-                    continue;
-                }
-            } else if self.visited_small.contains(&rt) {
+            if !self.mark_visited(rt) {
                 continue;
-            } else if self.visited_small.len() < SMALL {
-                self.visited_small.push(rt);
-            } else {
-                self.visited.clear();
-                self.visited.extend(self.visited_small.iter().copied());
-                self.visited.insert(rt);
-                spilled = true;
             }
             self.counters.visit_expansions += 1;
             if rt == ra {
@@ -536,19 +546,8 @@ impl Dtrg {
             let mut anc = data.lsa;
             while let Some(x) = anc {
                 let rx = self.sets.find_no_compress(x.index());
-                if spilled {
-                    if !self.visited.insert(rx) {
-                        break; // chain tail already explored
-                    }
-                } else if self.visited_small.contains(&rx) {
-                    break;
-                } else if self.visited_small.len() < SMALL {
-                    self.visited_small.push(rx);
-                } else {
-                    self.visited.clear();
-                    self.visited.extend(self.visited_small.iter().copied());
-                    self.visited.insert(rx);
-                    spilled = true;
+                if !self.mark_visited(rx) {
+                    break; // chain tail already explored
                 }
                 self.counters.visit_expansions += 1;
                 let adata = self.sets.payload_no_compress(rx);
@@ -561,15 +560,6 @@ impl Dtrg {
             self.memo.insert(key, found);
         }
         found
-    }
-
-    /// `Precede` lifted to an optional previous accessor (`None` = no
-    /// previous writer, which trivially precedes everything).
-    pub fn precede_opt(&mut self, a: Option<TaskId>, b: TaskId) -> bool {
-        match a {
-            None => true,
-            Some(a) => self.precede(a, b),
-        }
     }
 
     /// Exact ancestor query by walking parent pointers — the naive
@@ -652,7 +642,6 @@ mod tests {
     fn precede_same_task() {
         let mut g = Dtrg::new();
         assert!(g.precede(M, M));
-        assert!(g.precede_opt(None, M));
     }
 
     #[test]
@@ -940,39 +929,126 @@ mod tests {
         let mut s = NtSet::new();
         assert!(s.is_empty());
         for i in 1..=9u32 {
-            if !s.contains(TaskId(i)) {
-                s.push(TaskId(i));
-            }
+            s.push(TaskId(i));
         }
-        s.push(TaskId(9)); // callers may push duplicates explicitly
+        s.push(TaskId(9)); // push never deduplicates
         assert_eq!(s.len(), 10);
         assert!(matches!(s, NtSet::Spilled(_)));
         assert!(s.contains(TaskId(4)));
         assert_eq!(s.as_slice()[0], TaskId(1));
-        let mut t = NtSet::new();
-        t.push(TaskId(4));
-        t.merge_from(&s);
-        // 1..=9 minus the 4 already present; s's duplicate 9 is dropped too.
-        assert_eq!(t.len(), 9, "merge deduplicates");
-        assert_eq!(t.to_vec()[0], TaskId(4));
+        assert_eq!(s.to_vec()[9], TaskId(9));
     }
-}
 
-#[cfg(test)]
-mod spill_tests {
-    use super::*;
-    use futrace_runtime::monitor::TaskKind;
+    /// Graphwalk's shape: main spawns `n` futures in order, future `i`
+    /// gets its earlier siblings `i / 2` and `i / 3`, then main gets every
+    /// future in spawn order. Returns the stored `nt` entries once main has
+    /// joined them all.
+    fn graphwalk_shape(n: u32) -> usize {
+        let preds = |i: u32| [i / 2, i / 3].into_iter().filter(|&p| p >= 1);
+        // reach[x] = set of futures y >= x that x reaches through gets.
+        let mut reach = vec![vec![false; n as usize + 1]; n as usize + 1];
+        let mut d = Driver::new();
+        for i in 1..=n {
+            let f = d.spawn(M, TaskKind::Future);
+            assert_eq!(f, TaskId(i));
+            reach[i as usize][i as usize] = true;
+            for p in preds(i) {
+                d.g.on_get(f, TaskId(p));
+                for row in &mut reach[1..=p as usize] {
+                    row[i as usize] |= row[p as usize];
+                }
+            }
+            for x in [1, i / 3, i / 2, i.saturating_sub(3), i - 1] {
+                if x >= 1 && x < i {
+                    let want = reach[x as usize][i as usize];
+                    assert_eq!(d.g.precede(TaskId(x), f), want, "n={n}: T{x} -> T{i}");
+                }
+            }
+            d.g.on_task_end(f);
+        }
+        for k in 1..=n {
+            d.g.on_get(M, TaskId(k));
+            for x in [1, k / 2, k, k + 1, n] {
+                if (1..=n).contains(&x) {
+                    assert_eq!(d.g.precede(TaskId(x), M), x <= k, "n={n}: T{x} after get {k}");
+                }
+            }
+            assert!(d.g.stored_nt_edges() as u64 <= d.g.counters.nt_edges);
+        }
+        d.g.stored_nt_edges()
+    }
 
-    /// Builds a long pure non-tree chain (future i gets future i−1) plus a
-    /// disconnected straggler, forcing `precede`'s small-visited-set to
-    /// spill into the hash set on the negative query.
     #[test]
-    fn visited_set_spill_path_is_correct() {
+    fn joining_many_futures_keeps_stored_nt_flat() {
+        // Every source main inherits already sits in main's set, so the
+        // merge drops it instead of accumulating one entry per future.
+        let small = graphwalk_shape(100);
+        let large = graphwalk_shape(1000);
+        assert_eq!(small, large, "stored nt entries must not grow with n");
+        assert!(large <= 2, "{large}");
+    }
+
+    #[test]
+    fn visited_marks_survive_generation_wraparound() {
+        let mut d = Driver::new();
+        let a = d.spawn(M, TaskKind::Future);
+        d.g.on_task_end(a);
+        let b = d.spawn(M, TaskKind::Future);
+        d.g.on_get(b, a);
+        let c = d.spawn(b, TaskKind::Future);
+        d.g.set_memo_enabled(false);
+        // The next query wraps the generation. Stale stamps equal to the
+        // first post-wrap generation would read as already visited unless
+        // the wrap clears them.
+        d.g.visited.fill(1);
+        d.g.visit_gen = u32::MAX;
+        assert!(d.g.precede(a, c));
+        assert_eq!(d.g.visit_gen, 1, "generation wrapped and restarted at 1");
+        for _ in 0..3 {
+            assert!(d.g.precede(a, b));
+            assert!(d.g.precede(a, c));
+            assert!(!d.g.precede(b, a));
+        }
+    }
+
+    #[test]
+    fn merge_keeps_a_side_attributes_when_b_holds_the_longer_nt() {
+        // x2, x3 end unjoined; c gets x1 so p (spawned by c) has lsa = c.
+        // p spawns future b, which gets x2 and x3; p then gets b, merging
+        // b's two-entry nt into p's empty one.
+        let mut d = Driver::new();
+        let x1 = d.spawn(M, TaskKind::Future);
+        d.g.on_task_end(x1);
+        let x2 = d.spawn(M, TaskKind::Future);
+        d.g.on_task_end(x2);
+        let x3 = d.spawn(M, TaskKind::Future);
+        d.g.on_task_end(x3);
+        let c = d.spawn(M, TaskKind::Future);
+        d.g.on_get(c, x1);
+        let p = d.spawn(c, TaskKind::Future);
+        let b = d.spawn(p, TaskKind::Future);
+        d.g.on_get(b, x2);
+        d.g.on_get(b, x3);
+        d.g.on_task_end(b);
+        assert!(d.g.set_data(p).nt.is_empty());
+        assert_eq!(d.g.set_data(b).nt.len(), 2);
+        d.g.on_get(p, b);
+        assert!(d.g.same_set(p, b));
+        let merged = d.g.set_data(b).clone();
+        assert_eq!(merged.interval, d.g.meta(p).own, "S_A's interval survives");
+        assert_eq!(merged.lsa, Some(c), "S_A's lsa survives");
+        assert_eq!(merged.nt.to_vec(), vec![x2, x3]);
+        assert!(d.g.precede(x2, p) && d.g.precede(x3, p) && d.g.precede(x1, p));
+    }
+
+    /// A long pure non-tree chain (future i gets future i−1) plus a
+    /// disconnected straggler: queries that visit every chain node.
+    #[test]
+    fn long_non_tree_chain_queries_are_correct() {
         let mut g = Dtrg::new();
-        let main = TaskId::MAIN;
         let n = 200u32;
         for i in 1..=n {
-            g.on_task_create(main, TaskId(i), TaskKind::Future);
+            g.on_task_create(M, TaskId(i), TaskKind::Future);
             if i > 1 {
                 g.on_get(TaskId(i), TaskId(i - 1));
             }
@@ -980,17 +1056,17 @@ mod spill_tests {
         }
         // Straggler future created last, never joined to the chain.
         let straggler = TaskId(n + 1);
-        g.on_task_create(main, straggler, TaskKind::Future);
+        g.on_task_create(M, straggler, TaskKind::Future);
         g.on_task_end(straggler);
 
-        // Positive long-range query: walks (and spills) the whole chain.
+        // Positive long-range query: walks the whole chain.
         assert!(g.precede(TaskId(1), TaskId(n)));
         // Negative query from the straggler: nothing reaches it.
         assert!(!g.precede(straggler, TaskId(n)));
         // Negative long-range reverse query: must visit every chain node
-        // (spilling) and still answer false.
+        // and still answer false.
         assert!(!g.precede(TaskId(n), TaskId(1)));
-        // Re-querying after spills stays consistent (scratch reuse).
+        // Re-querying stays consistent (scratch reuse).
         assert!(g.precede(TaskId(7), TaskId(n)));
         assert!(!g.precede(TaskId(n), TaskId(7)));
     }

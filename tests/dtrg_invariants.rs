@@ -4,9 +4,9 @@
 use futrace::benchsuite::randomprog::{execute, generate, GenParams};
 use futrace::compgraph::GraphBuilder;
 use futrace::detector::RaceDetector;
-use futrace::runtime::monitor::Pair;
+use futrace::runtime::monitor::{Monitor, Pair, TaskKind};
 use futrace::runtime::run_serial;
-use futrace_util::ids::TaskId;
+use futrace_util::ids::{FinishId, LocId, TaskId};
 
 fn run_both(seed: u64, params: &GenParams) -> (RaceDetector, futrace::compgraph::CompGraph) {
     let prog = generate(seed, params);
@@ -131,6 +131,69 @@ fn set_members_join_into_the_set_top() {
                 reach.reaches(from, to) || from == to,
                 "seed {seed}: {tid} merged into {top_id}'s set without a join path to it"
             );
+        }
+    }
+}
+
+/// Forwards every event to a detector and, after each control event,
+/// checks that the DTRG stores no more non-tree entries than `get`s have
+/// recorded (Theorem 1's O(n) space term: `Merge` only moves or drops
+/// entries, never creates them).
+struct SpaceBoundCheck(RaceDetector);
+
+impl SpaceBoundCheck {
+    fn check(&self) {
+        let dtrg = self.0.dtrg();
+        let (stored, recorded) = (dtrg.stored_nt_edges() as u64, dtrg.counters.nt_edges);
+        assert!(stored <= recorded, "{stored} stored nt entries > {recorded} nt edges");
+    }
+}
+
+impl Monitor for SpaceBoundCheck {
+    fn task_create(&mut self, parent: TaskId, child: TaskId, kind: TaskKind, ief: FinishId) {
+        self.0.task_create(parent, child, kind, ief);
+        self.check();
+    }
+    fn task_end(&mut self, task: TaskId) {
+        self.0.task_end(task);
+        self.check();
+    }
+    fn finish_start(&mut self, task: TaskId, finish: FinishId) {
+        self.0.finish_start(task, finish);
+    }
+    fn finish_end(&mut self, task: TaskId, finish: FinishId, joined: &[TaskId]) {
+        self.0.finish_end(task, finish, joined);
+        self.check();
+    }
+    fn get(&mut self, waiter: TaskId, awaited: TaskId) {
+        self.0.get(waiter, awaited);
+        self.check();
+    }
+    fn read(&mut self, task: TaskId, loc: LocId) {
+        self.0.read(task, loc);
+    }
+    fn write(&mut self, task: TaskId, loc: LocId) {
+        self.0.write(task, loc);
+    }
+    fn alloc(&mut self, base: LocId, n: u32, name: &str) {
+        self.0.alloc(base, n, name);
+    }
+}
+
+#[test]
+fn stored_nt_entries_never_exceed_recorded_nt_edges() {
+    let mixes = [
+        GenParams::default(),
+        GenParams::future_heavy(),
+        GenParams::nontree_heavy(),
+    ];
+    for params in &mixes {
+        for seed in 0..150u64 {
+            let prog = generate(seed, params);
+            let mut mon = SpaceBoundCheck(RaceDetector::new());
+            run_serial(&mut mon, |ctx| {
+                execute(ctx, &prog);
+            });
         }
     }
 }
