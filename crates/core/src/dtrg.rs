@@ -28,6 +28,19 @@
 //! is expanded at most once per query (the "each non-tree edge visited
 //! once" bound of Theorem 1) and starting a query costs O(1).
 //!
+//! A query costs what that bound says (DESIGN S45). `find(b)` and `b`'s
+//! label are computed once and `Visit` starts from `b`'s set already
+//! marked. When an expanded set's `nt` slice holds `a` itself, the query
+//! answers true before pushing anything, scanning newest first because a
+//! consumer's most recent `get` is usually its producer. Verdicts are
+//! memoized in a small direct-mapped table whose slots carry the epoch they
+//! were stored in, so a graph mutation invalidates them without clearing
+//! anything. A walk that found nothing and pruned nothing is kept, and the
+//! memo answers the next queries from the same set in the same epoch by
+//! replaying it: an access re-checking many stored readers walks once. The
+//! memo switch gates only these lookups and the store; cached and uncached
+//! queries share one traversal.
+//!
 //! `Merge` appends the smaller `nt` list onto the larger one without
 //! deduplicating (DESIGN, "Linear-time Merge and Visit"), so a stored list
 //! may hold a source twice or a source inside its own set. Neither changes
@@ -37,7 +50,7 @@
 use futrace_runtime::monitor::TaskKind;
 use futrace_util::ids::TaskId;
 use futrace_util::interval::{Interval, IntervalLabeler};
-use futrace_util::{FxHashMap, UnionFind};
+use futrace_util::UnionFind;
 
 /// Inline capacity of [`NtSet`]. The paper observes (§5) that producers
 /// and consumers sit 1–2 non-tree hops apart, and across the benchsuite
@@ -174,9 +187,10 @@ pub struct DtrgCounters {
     pub precede_calls: u64,
     /// Nodes expanded across all `Visit` traversals.
     pub visit_expansions: u64,
-    /// `Precede` queries answered from the memo table (no `Visit` run).
+    /// `Precede` queries answered from a memo slot (no `Visit` run).
     pub memo_hits: u64,
-    /// `Precede` queries that ran `Visit` and populated the memo.
+    /// `Precede` queries that missed the memo slots and stored their
+    /// verdict in one, after running `Visit` or replaying the last walk.
     pub memo_misses: u64,
     /// Access checks answered by the shadow-cell fast path without
     /// consulting the DTRG at all (maintained by the detector).
@@ -185,6 +199,57 @@ pub struct DtrgCounters {
 
 /// Sentinel in the `task_parent` column for "no parent" (main).
 const NO_PARENT: u32 = u32::MAX;
+
+/// log2 of [`MEMO_SLOTS`].
+const MEMO_BITS: u32 = 8;
+/// Slots in the `precede` memo: 256 × 24 bytes fits in L1 beside the
+/// traversal's working set.
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
+
+/// One `precede` memo slot: the verdict for the representative pair
+/// `(ra, rb)` as of graph-mutation epoch `epoch`.
+#[derive(Clone, Copy, Debug)]
+struct MemoSlot {
+    epoch: u64,
+    ra: u32,
+    rb: u32,
+    verdict: bool,
+}
+
+impl MemoSlot {
+    /// An unused slot. Its keys are equal, and `precede` answers every
+    /// query with `Find(a) == Find(b)` before the lookup, so no lookup
+    /// ever matches it.
+    const EMPTY: MemoSlot = MemoSlot {
+        epoch: 0,
+        ra: 0,
+        rb: 0,
+        verdict: false,
+    };
+}
+
+/// Memo slot for the representative pair `(ra, rb)` (Fibonacci hashing of
+/// the packed pair; the top bits index the table).
+#[inline]
+fn memo_slot(ra: u32, rb: u32) -> usize {
+    let key = (u64::from(ra) << 32) | u64::from(rb);
+    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - MEMO_BITS)) as usize
+}
+
+/// Pushes the non-tree predecessors `nt` of a set `Visit` expands onto
+/// `stack`, or returns true without pushing if `a` itself is one of them.
+/// Every expanded set reaches the query's step, so a source of its `nt`
+/// precedes that step; popping the source would find `a`'s set anyway. The
+/// slice is scanned newest first: the latest `get` is usually the producer
+/// the query is about.
+#[inline]
+fn push_nt(stack: &mut Vec<TaskId>, nt: &[TaskId], a: TaskId) -> bool {
+    if nt.iter().rev().any(|&s| s == a) {
+        return true;
+    }
+    stack.extend_from_slice(nt);
+    false
+}
 
 /// The dynamic task reachability graph.
 #[derive(Clone, Debug)]
@@ -198,7 +263,8 @@ pub struct Dtrg {
     task_parent: Vec<u32>,
     task_kind: Vec<TaskKind>,
     task_own: Vec<Interval>,
-    /// Scratch for `precede` (kept to avoid per-query allocation).
+    /// `Visit`'s work list. It is kept after a query, so that the memo can
+    /// replay it (see `last_walk`).
     visit_stack: Vec<TaskId>,
     /// Visited marks for `precede`, indexed by set representative: a set
     /// is visited in the current query iff its slot equals `visit_gen`.
@@ -206,6 +272,13 @@ pub struct Dtrg {
     /// zeroed only when the generation wraps.
     visited: Vec<u32>,
     visit_gen: u32,
+    /// `(epoch, rb)` when the last `Visit` started from set `rb` in `epoch`,
+    /// did not find its source and pruned nothing, so `visit_stack` holds
+    /// every set it reached (DESIGN S45). `on_task_end` clears it, since it
+    /// relabels a set.
+    last_walk: Option<(u64, u32)>,
+    /// Set when the running `Visit` prunes a set.
+    pruned: bool,
     /// Graph-mutation epoch: bumped exactly when an ordering edge is added
     /// between existing nodes — a real set union (merging `get`, finish
     /// end) or a newly stored non-tree predecessor. `on_task_create` /
@@ -214,12 +287,14 @@ pub struct Dtrg {
     /// one epoch (verdicts are monotone: they can only flip false→true,
     /// and only when an edge is added; see DESIGN S39).
     epoch: u64,
-    /// Memoized `precede` verdicts keyed on `(Find(a), Find(b))` set
-    /// representatives. Representatives are stable within an epoch (only
-    /// unions change them, and unions bump the epoch), so entries are
-    /// valid while `memo_epoch == epoch` and lazily cleared otherwise.
-    memo: FxHashMap<(u32, u32), bool>,
-    memo_epoch: u64,
+    /// Memoized `precede` verdicts: a direct-mapped table of
+    /// [`MEMO_SLOTS`] slots, each tagged with the epoch it was stored in and
+    /// keyed on `(Find(a), Find(b))` set representatives. Representatives
+    /// are stable within an epoch (only unions change them, and unions bump
+    /// the epoch), so a slot answers a query only if its tag equals the
+    /// current epoch and both keys match. Stores overwrite; the table is
+    /// never cleared, since an epoch is never reused (DESIGN S45).
+    memo: Box<[MemoSlot; MEMO_SLOTS]>,
     memo_enabled: bool,
     /// Counters.
     pub counters: DtrgCounters,
@@ -253,9 +328,10 @@ impl Dtrg {
             visit_stack: Vec::new(),
             visited: vec![0],
             visit_gen: 0,
+            last_walk: None,
+            pruned: false,
             epoch: 0,
-            memo: FxHashMap::default(),
-            memo_epoch: 0,
+            memo: Box::new([MemoSlot::EMPTY; MEMO_SLOTS]),
             memo_enabled: true,
             counters: DtrgCounters::default(),
         }
@@ -299,14 +375,13 @@ impl Dtrg {
         self.epoch
     }
 
-    /// Enables or disables the `precede` memo table (enabled by default).
-    /// Disabling also drops any cached verdicts, restoring the uncached
-    /// pre-memo query path exactly.
+    /// Enables or disables the `precede` memo (enabled by default): the
+    /// epoch-tagged slots and the replay of the last walk. Disabled, every
+    /// query that the O(1) tests cannot answer runs `Visit`, the same
+    /// traversal as with the memo on. This is the reference the
+    /// equivalence suites compare against.
     pub fn set_memo_enabled(&mut self, enabled: bool) {
         self.memo_enabled = enabled;
-        if !enabled {
-            self.memo.clear();
-        }
     }
 
     /// Set attributes of the set currently containing `t`.
@@ -360,6 +435,7 @@ impl Dtrg {
         let data = self.sets.payload_mut(task.index());
         debug_assert_eq!(data.interval.pre, self.task_own[task.index()].pre);
         data.interval.post = post;
+        self.last_walk = None;
     }
 
     /// Algorithm 7: `Merge(S_A, S_B)` — union keeping `S_A`'s label and
@@ -444,122 +520,162 @@ impl Dtrg {
     /// predecessor): true iff every step of `a` executed so far must
     /// precede `b`'s current step in the computation graph.
     ///
-    /// Iterative `Visit`: expands `b`, then `b`'s non-tree predecessors and
-    /// the non-tree predecessors of `b`'s significant-ancestor chain,
-    /// transitively, pruning nodes whose set preorder is below `a`'s
-    /// (non-tree sources always have lower preorder than their sinks in a
-    /// race-free execution) and nodes already visited.
+    /// The first `Visit` iteration's two O(1) verdicts (same set, ancestor
+    /// subsumption) are answered from `b`'s representative and label,
+    /// computed once. Otherwise the memo slot for `(Find(a), Find(b))` is
+    /// consulted, then the last walk is replayed if it can stand in for
+    /// this one (`replay_walk`), else `visit` runs from `b`'s set; the
+    /// verdict is stored in the slot. With the memo disabled the slot
+    /// lookup, the replay and the store are skipped; the traversal is the
+    /// same.
     pub fn precede(&mut self, a: TaskId, b: TaskId) -> bool {
         self.counters.precede_calls += 1;
         if a == b {
             return true;
         }
         let ra = self.sets.find(a.index());
+        let rb = self.sets.find(b.index());
+        if ra == rb {
+            return true;
+        }
         let la = self.sets.payload_no_compress(ra).interval;
-
-        // Memoized path: the first `Visit` iteration's two O(1) verdicts
-        // (same set, ancestor subsumption) are answered without touching
-        // the work stack, and full traversal results are cached per
-        // representative pair until the next graph mutation. Disabled mode
-        // falls through to the exact pre-memo query below (the perf
-        // harness's before/after baseline).
-        let mut memo_key = None;
+        let lb = self.sets.payload_no_compress(rb).interval;
+        if la.contains(&lb) {
+            return true;
+        }
+        let (ra32, rb32) = (ra as u32, rb as u32);
+        let slot = memo_slot(ra32, rb32);
+        let mut replayed = None;
         if self.memo_enabled {
-            let rb = self.sets.find(b.index());
-            if rb == ra {
-                return true;
-            }
-            let lb = self.sets.payload_no_compress(rb).interval;
-            if la.contains(&lb) {
-                return true;
-            }
-            if self.memo_epoch != self.epoch {
-                self.memo.clear();
-                self.memo_epoch = self.epoch;
-            }
-            let key = (ra as u32, rb as u32);
-            if let Some(&v) = self.memo.get(&key) {
+            let m = self.memo[slot];
+            if m.epoch == self.epoch && m.ra == ra32 && m.rb == rb32 {
                 self.counters.memo_hits += 1;
-                return v;
+                return m.verdict;
             }
             self.counters.memo_misses += 1;
-            memo_key = Some(key);
+            replayed = self.replay_walk(ra, la, rb32, lb);
         }
+        let found = replayed.unwrap_or_else(|| self.visit(a, ra, la, rb));
+        if self.memo_enabled {
+            self.memo[slot] = MemoSlot {
+                epoch: self.epoch,
+                ra: ra32,
+                rb: rb32,
+                verdict: found,
+            };
+        }
+        found
+    }
 
-        debug_assert!(self.visit_stack.is_empty());
+    /// Iterative `Visit` from `b`'s set `rb`, which the caller has already
+    /// tested against `a`'s set `ra` (label `la`): expands `rb`, then the
+    /// non-tree predecessors of every expanded set and of its
+    /// significant-ancestor chain, transitively, skipping sets already
+    /// visited in this query.
+    ///
+    /// Breadth-first examination order (index walk = FIFO): the paper
+    /// observes producers and consumers sit 1–2 non-tree hops apart, so the
+    /// target is almost always among the nearest predecessors — depth-first
+    /// order would wander into older regions of the graph before examining
+    /// near siblings (measured 5–50× more expansions on the Jacobi
+    /// wavefront).
+    fn visit(&mut self, a: TaskId, ra: usize, la: Interval, rb: usize) -> bool {
+        self.visit_stack.clear();
+        self.pruned = false;
         self.visit_gen = self.visit_gen.wrapping_add(1);
         if self.visit_gen == 0 {
             self.visited.fill(0);
             self.visit_gen = 1;
         }
-        self.visit_stack.push(b);
-
-        // Breadth-first examination order (index walk = FIFO): the paper
-        // observes producers and consumers sit 1–2 non-tree hops apart, so
-        // the target is almost always among the nearest predecessors —
-        // depth-first order would wander into older regions of the graph
-        // before examining near siblings (measured 5–50× more expansions
-        // on the Jacobi wavefront).
+        self.mark_visited(rb);
+        let mut found = self.expand(a, ra, la, rb);
         let mut head = 0usize;
-        let mut found = false;
-        while head < self.visit_stack.len() {
+        while !found && head < self.visit_stack.len() {
             let t = self.visit_stack[head];
             head += 1;
             let rt = self.sets.find(t.index());
-            if !self.mark_visited(rt) {
-                continue;
+            if self.mark_visited(rt) {
+                found = self.expand(a, ra, la, rt);
+            }
+        }
+        self.last_walk = (!found && !self.pruned).then_some((self.epoch, rb as u32));
+        found
+    }
+
+    /// Answers a query from set `rb` (label `lb`) with source set `ra`
+    /// (label `la`) by replaying the last `Visit`, if that walk started from
+    /// `rb` in this epoch and reached every set it could (`last_walk`): the
+    /// sets it reached are tested in the order it reached them. `None` if
+    /// there is no such walk, or as soon as `la` would prune a set, since a
+    /// walk for `la` would then reach fewer sets and must run instead.
+    fn replay_walk(&mut self, ra: usize, la: Interval, rb: u32, lb: Interval) -> Option<bool> {
+        if self.last_walk != Some((self.epoch, rb)) || lb.post < la.pre {
+            return None;
+        }
+        for i in 0..self.visit_stack.len() {
+            let rt = self.sets.find(self.visit_stack[i].index());
+            let lt = self.sets.payload_no_compress(rt).interval;
+            if rt == ra || la.contains(&lt) {
+                return Some(true);
+            }
+            if lt.post < la.pre {
+                return None;
+            }
+        }
+        Some(false)
+    }
+
+    /// Expands the freshly marked set `rt` in `Visit`: true if it proves
+    /// that `a` precedes the query's step, otherwise pushes its non-tree
+    /// predecessors and those of its significant-ancestor chain.
+    fn expand(&mut self, a: TaskId, ra: usize, la: Interval, rt: usize) -> bool {
+        self.counters.visit_expansions += 1;
+        if rt == ra {
+            return true;
+        }
+        let data = self.sets.payload_no_compress(rt);
+        let lt = data.interval;
+        // Lines 6–11: the interval of A's set subsumes the interval of
+        // this set — A's set is an ancestor along tree joins.
+        if la.contains(&lt) {
+            return true;
+        }
+        // Lines 12–14 (prune): if this set finished before A's set was even
+        // spawned, no step of A can reach into it (paths respect serial
+        // execution order, Lemma 2), so its predecessors cannot lead back
+        // to A either. Note the comparison uses the set's *final*
+        // postorder: a live set carries a temporary postorder far above
+        // every preorder, so live sets are never pruned. The paper prunes
+        // on preorder ("the source of a non-tree join edge has a lower
+        // preorder than the sink"), which holds for task labels but not
+        // for merged-set labels — a set merged into a low-preorder
+        // ancestor would be pruned while still carrying explorable
+        // non-tree predecessors, so we prune on the completion-order test
+        // instead.
+        if lt.post < la.pre {
+            self.pruned = true;
+            return false;
+        }
+        // Lines 15–20: immediate non-tree predecessors of this node.
+        if push_nt(&mut self.visit_stack, data.nt.as_slice(), a) {
+            return true;
+        }
+        // Lines 21–29: walk the significant-ancestor chain, exploring each
+        // significant set's non-tree predecessors.
+        let mut anc = data.lsa;
+        while let Some(x) = anc {
+            let rx = self.sets.find_no_compress(x.index());
+            if !self.mark_visited(rx) {
+                break; // chain tail already explored
             }
             self.counters.visit_expansions += 1;
-            if rt == ra {
-                found = true;
-                break;
+            let adata = self.sets.payload_no_compress(rx);
+            if push_nt(&mut self.visit_stack, adata.nt.as_slice(), a) {
+                return true;
             }
-            let data = self.sets.payload_no_compress(rt);
-            let lt = data.interval;
-            // Lines 6–11: the interval of A's set subsumes the interval of
-            // B's set — A's set is an ancestor along tree joins.
-            if la.contains(&lt) {
-                found = true;
-                break;
-            }
-            // Lines 12–14 (prune): if this set finished before A's set was
-            // even spawned, no step of A can reach into it (paths respect
-            // serial execution order, Lemma 2), so its predecessors cannot
-            // lead back to A either. Note the comparison uses the set's
-            // *final* postorder: a live set carries a temporary postorder
-            // far above every preorder, so live sets are never pruned. The
-            // paper prunes on preorder ("the source of a non-tree join edge
-            // has a lower preorder than the sink"), which holds for task
-            // labels but not for merged-set labels — a set merged into a
-            // low-preorder ancestor would be pruned while still carrying
-            // explorable non-tree predecessors, so we prune on the
-            // completion-order test instead.
-            if lt.post < la.pre {
-                continue;
-            }
-            // Lines 15–20: immediate non-tree predecessors of this node.
-            // (`visit_stack` and `sets` are disjoint fields, so the borrows
-            // split.)
-            self.visit_stack.extend_from_slice(data.nt.as_slice());
-            // Lines 21–29: walk the significant-ancestor chain, exploring
-            // each significant set's non-tree predecessors.
-            let mut anc = data.lsa;
-            while let Some(x) = anc {
-                let rx = self.sets.find_no_compress(x.index());
-                if !self.mark_visited(rx) {
-                    break; // chain tail already explored
-                }
-                self.counters.visit_expansions += 1;
-                let adata = self.sets.payload_no_compress(rx);
-                self.visit_stack.extend_from_slice(adata.nt.as_slice());
-                anc = adata.lsa;
-            }
+            anc = adata.lsa;
         }
-        self.visit_stack.clear();
-        if let Some(key) = memo_key {
-            self.memo.insert(key, found);
-        }
-        found
+        false
     }
 
     /// Exact ancestor query by walking parent pointers — the naive
@@ -1039,6 +1155,214 @@ mod tests {
         assert_eq!(merged.lsa, Some(c), "S_A's lsa survives");
         assert_eq!(merged.nt.to_vec(), vec![x2, x3]);
         assert!(d.g.precede(x2, p) && d.g.precede(x3, p) && d.g.precede(x1, p));
+    }
+
+    /// One future `get`s `n` completed siblings, oldest first, and after
+    /// each `get` asks whether the future it just joined precedes it — the
+    /// actor client's request/response shape. Returns the `Visit`
+    /// expansions those `n` queries cost.
+    fn newest_producer_expansions(n: u32, memo: bool) -> u64 {
+        let mut d = Driver::new();
+        d.g.set_memo_enabled(memo);
+        let producers: Vec<TaskId> = (0..n)
+            .map(|_| {
+                let f = d.spawn(M, TaskKind::Future);
+                d.g.on_task_end(f);
+                f
+            })
+            .collect();
+        let waiter = d.spawn(M, TaskKind::Future);
+        let before = d.g.counters.visit_expansions;
+        for &f in &producers {
+            d.g.on_get(waiter, f);
+            assert!(d.g.precede(f, waiter));
+        }
+        assert_eq!(d.g.set_data(waiter).nt.len(), n as usize);
+        d.g.counters.visit_expansions - before
+    }
+
+    #[test]
+    fn newest_producer_is_found_without_scanning_older_ones() {
+        // Each query must hit its producer in the waiter's own `nt` slice
+        // before pushing the older entries; expanding them costs n²/2.
+        for n in [1000u32, 4000] {
+            for memo in [true, false] {
+                let e = newest_producer_expansions(n, memo);
+                assert!(e <= u64::from(n), "n={n} memo={memo}: {e} expansions");
+            }
+        }
+    }
+
+    /// Future `i` gets its completed siblings `i / 2` and `i / 3`, as in
+    /// graphwalk. Then, with no mutation in between, every ordered pair of
+    /// tasks is queried twice in a row, and all pairs once more in reverse
+    /// order. Returns the verdicts and the counters.
+    fn all_pairs_in_one_epoch(n: u32, memo: bool) -> (Vec<bool>, DtrgCounters) {
+        let mut d = Driver::new();
+        d.g.set_memo_enabled(memo);
+        for i in 1..=n {
+            let f = d.spawn(M, TaskKind::Future);
+            for p in [i / 2, i / 3] {
+                if p >= 1 {
+                    d.g.on_get(f, TaskId(p));
+                }
+            }
+            d.g.on_task_end(f);
+        }
+        let epoch = d.g.epoch();
+        let pairs: Vec<(TaskId, TaskId)> = (0..=n)
+            .flat_map(|x| (0..=n).map(move |y| (TaskId(x), TaskId(y))))
+            .collect();
+        let mut verdicts = Vec::new();
+        for &(x, y) in &pairs {
+            verdicts.push(d.g.precede(x, y));
+            verdicts.push(d.g.precede(x, y));
+        }
+        for &(x, y) in pairs.iter().rev() {
+            verdicts.push(d.g.precede(x, y));
+        }
+        assert_eq!(d.g.epoch(), epoch, "queries never mutate the graph");
+        (verdicts, d.g.counters)
+    }
+
+    #[test]
+    fn memo_slots_overflowing_one_epoch_keep_every_verdict() {
+        let n = 40u32;
+        let (cached, cc) = all_pairs_in_one_epoch(n, true);
+        let (uncached, cu) = all_pairs_in_one_epoch(n, false);
+        assert_eq!(cached, uncached);
+        assert!(cached.contains(&true) && cached.contains(&false));
+        // Distinct siblings never share a set or nest, so every ordered
+        // pair of distinct futures reaches the memo: far more than slots.
+        let distinct = u64::from(n * (n - 1));
+        assert!(distinct > MEMO_SLOTS as u64);
+        assert!(cc.memo_misses >= distinct, "every first query misses");
+        assert!(cc.memo_hits >= distinct, "every immediate repeat hits");
+        let reverse_hits = cc.memo_hits - distinct;
+        assert!(reverse_hits > 0, "the reverse pass reaches recent slots");
+        assert!(
+            cc.memo_misses > distinct,
+            "evicted slots miss and recompute"
+        );
+        assert_eq!(cu.memo_hits + cu.memo_misses, 0);
+        assert_eq!(cc.precede_calls, cu.precede_calls);
+    }
+
+    #[test]
+    fn slot_from_an_older_epoch_is_never_read() {
+        // A ends; C gets A; B is a later sibling. precede(A, B) is false
+        // and lands in its slot. B's get of C adds an edge (two hops from
+        // A), bumping the epoch: the same query must recompute and flip.
+        let mut d = Driver::new();
+        let a = d.spawn(M, TaskKind::Future);
+        d.g.on_task_end(a);
+        let c = d.spawn(M, TaskKind::Future);
+        d.g.on_get(c, a);
+        d.g.on_task_end(c);
+        let b = d.spawn(M, TaskKind::Future);
+        assert!(!d.g.precede(a, b));
+        let (ra, rb) = (
+            d.g.sets.find(a.index()) as u32,
+            d.g.sets.find(b.index()) as u32,
+        );
+        let stored = d.g.memo[memo_slot(ra, rb)];
+        assert!(stored.ra == ra && stored.rb == rb && !stored.verdict);
+        assert_eq!(stored.epoch, d.g.epoch());
+
+        d.g.on_get(b, c);
+        assert!(d.g.epoch() > stored.epoch);
+        let misses = d.g.counters.memo_misses;
+        assert!(
+            d.g.precede(a, b),
+            "the false verdict is from an older epoch"
+        );
+        assert_eq!(d.g.counters.memo_misses, misses + 1);
+        assert!(
+            d.g.memo[memo_slot(ra, rb)].verdict,
+            "the store overwrote the slot"
+        );
+        assert!(d.g.precede(a, b));
+        assert_eq!(
+            d.g.counters.memo_misses,
+            misses + 1,
+            "now served from the slot"
+        );
+    }
+
+    /// Twenty completed readers, then a non-tree chain p0 → p1 → p2 → b with
+    /// `b` running, and `q` spawned between p0's end and p1: the shape of a
+    /// location whose racy readers every access by `b` re-checks. Queries
+    /// every reader, the chain, and `q` (which would prune p0), then
+    /// relabels a set by ending a child of `b` and queries again.
+    fn readers_against_a_chain(memo: bool) -> (Vec<bool>, Vec<u64>) {
+        let mut d = Driver::new();
+        d.g.set_memo_enabled(memo);
+        let readers: Vec<TaskId> = (0..20)
+            .map(|_| {
+                let r = d.spawn(M, TaskKind::Future);
+                d.g.on_task_end(r);
+                r
+            })
+            .collect();
+        let p0 = d.spawn(M, TaskKind::Future);
+        d.g.on_task_end(p0);
+        let q = d.spawn(M, TaskKind::Future);
+        d.g.on_task_end(q);
+        let p1 = d.spawn(M, TaskKind::Future);
+        d.g.on_get(p1, p0);
+        d.g.on_task_end(p1);
+        let p2 = d.spawn(M, TaskKind::Future);
+        d.g.on_get(p2, p1);
+        d.g.on_task_end(p2);
+        let b = d.spawn(M, TaskKind::Future);
+        d.g.on_get(b, p2);
+        let mut verdicts = Vec::new();
+        let mut expansions = Vec::new();
+        let mut ask = |d: &mut Driver, x: TaskId| {
+            verdicts.push(d.g.precede(x, b));
+            expansions.push(d.g.counters.visit_expansions);
+        };
+        for &r in &readers[..10] {
+            ask(&mut d, r);
+        }
+        for x in [p0, p1, q, readers[10], readers[11], p2] {
+            ask(&mut d, x);
+        }
+        let c = d.spawn(b, TaskKind::Future);
+        d.g.on_task_end(c);
+        for &r in &readers[12..] {
+            ask(&mut d, r);
+        }
+        (verdicts, expansions)
+    }
+
+    #[test]
+    fn a_negative_walk_is_replayed_for_later_sources() {
+        let (cached, with) = readers_against_a_chain(true);
+        let (uncached, without) = readers_against_a_chain(false);
+        assert_eq!(cached, uncached);
+        let want: Vec<bool> = [
+            [false; 10].as_slice(),
+            &[true, true, false, false, false, true],
+            &[false; 8],
+        ]
+        .concat();
+        assert_eq!(cached, want);
+        // Uncached, every reader query walks b, p2, p1, p0.
+        assert_eq!(without[0], 4);
+        assert!(without.windows(2).all(|w| w[1] > w[0]));
+        // Cached, the first reader walks; the next nine, and p0 and p1,
+        // replay it without expanding anything.
+        assert_eq!(with[0], 4);
+        assert_eq!(with[11], 4, "replayed queries expand nothing");
+        // q's label would prune p0, so its query walks (and prunes), and
+        // the next reader cannot replay that pruned walk.
+        assert!(with[12] > with[11], "q walks");
+        assert!(with[13] > with[12], "a pruned walk is not replayed");
+        assert_eq!(with[14], with[13], "the reader's complete walk is");
+        // Ending c relabels a set: the first query after it walks again.
+        assert!(with[16] > with[15], "on_task_end forgets the walk");
+        assert_eq!(with[23], with[16]);
     }
 
     /// A long pure non-tree chain (future i gets future i−1) plus a

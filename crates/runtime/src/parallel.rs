@@ -341,9 +341,13 @@ impl ParCtx {
         }
         impl Drop for Guard<'_> {
             fn drop(&mut self) {
+                // Counted as running before it stops counting as a wait:
+                // in the other order, a thread leaving its wait is neither
+                // active nor registered for an instant, and a waiter that
+                // depends on it would declare a freeze.
+                self.shared.active.fetch_add(1, Ordering::SeqCst);
                 self.shared.lock.lock().blocked.remove(&self.id);
                 self.shared.waiters.fetch_sub(1, Ordering::SeqCst);
-                self.shared.active.fetch_add(1, Ordering::SeqCst);
             }
         }
         let _g = Guard {
@@ -373,8 +377,15 @@ impl ParCtx {
             // keeps a wait that is still in transition (it may be about to
             // observe its condition satisfied and resume running task
             // code) from being silently presumed stuck.
-            let frozen = shared.active.load(Ordering::SeqCst) <= 0
-                && shared.queue.is_empty()
+            //
+            // The queue is read before `active`. A worker claims `active`
+            // before it steals, and keeps the claim until the stolen job
+            // has bumped the generation, so a job that leaves the queue
+            // after the first read is seen running by the second. In the
+            // other order, a job stolen between the two reads is invisible
+            // to both.
+            let frozen = shared.queue.is_empty()
+                && shared.active.load(Ordering::SeqCst) <= 0
                 && !g.blocked.is_empty()
                 && g.blocked.len() == shared.waiters.load(Ordering::SeqCst)
                 && g.blocked.values().all(|&v| v == cur);

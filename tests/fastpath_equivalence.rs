@@ -66,25 +66,35 @@ fn assert_reports_identical(label: &str, seed: u64, cached: &RaceReport, uncache
 
 #[test]
 fn caching_never_changes_the_report() {
-    // ≥256 random programs from the default mix (async + finish +
-    // futures + gets), each checked serially and at shard widths 1, 2,
-    // and 4 — cached and uncached runs must produce identical reports.
+    // ≥256 seeds, each generating a program from the default mix (async +
+    // finish + futures + gets) and from the future- and non-tree-heavy
+    // mixes, where `precede` memo slots collide, walks are replayed and
+    // `Visit` finds sources in `nt` slices. Each program is checked
+    // serially and at shard widths 1, 2, and 4 — cached and uncached runs
+    // must produce identical reports.
+    let mixes = [
+        ("default", GenParams::default()),
+        ("future_heavy", GenParams::future_heavy()),
+        ("nontree_heavy", GenParams::nontree_heavy()),
+    ];
     propcheck::check(&Config::with_cases(256), &strategies::any_u64(), |seed| {
-        let events = record(seed, &GenParams::default());
+        for (mix, params) in &mixes {
+            let events = record(seed, params);
 
-        let cached = serial_report(&events, true);
-        let uncached = serial_report(&events, false);
-        assert_reports_identical("serial", seed, &cached, &uncached);
+            let cached = serial_report(&events, true);
+            let uncached = serial_report(&events, false);
+            assert_reports_identical(&format!("{mix} serial"), seed, &cached, &uncached);
 
-        for shards in [1usize, 2, 4] {
-            let cached = sharded_report(&events, shards, true);
-            let uncached = sharded_report(&events, shards, false);
-            assert_reports_identical(
-                &format!("sharded x{shards}"),
-                seed,
-                &cached,
-                &uncached,
-            );
+            for shards in [1usize, 2, 4] {
+                let cached = sharded_report(&events, shards, true);
+                let uncached = sharded_report(&events, shards, false);
+                assert_reports_identical(
+                    &format!("{mix} sharded x{shards}"),
+                    seed,
+                    &cached,
+                    &uncached,
+                );
+            }
         }
     });
 }
