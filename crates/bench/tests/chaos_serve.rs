@@ -176,11 +176,11 @@ fn chaos_clients_survive_faults_and_a_daemon_sigkill() {
     let ckpt = dir.join("ckpt");
     std::fs::create_dir_all(&ckpt).expect("ckpt dir");
 
-    // Sizing: each periodic checkpoint cut re-runs analysis over the fed
-    // prefix, so cost grows with (chunks / checkpoint-every) × chunks.
-    // ~48 KiB at --checkpoint-every 100 keeps a session under a second
-    // while still spanning hundreds of chunk round-trips for chaos to
-    // land in.
+    // Sizing: each periodic checkpoint is cut from the session's live
+    // engine and costs one state save. ~48 KiB keeps a session under a
+    // second while still spanning hundreds of chunk round-trips for chaos
+    // to land in, and --checkpoint-every 8 makes the SIGKILL land after
+    // many periodic cuts.
     let mut traces = Vec::new();
     for i in 0..CLIENTS {
         let path = dir.join(format!("chaos_{i}.ftrc"));
@@ -203,7 +203,7 @@ fn chaos_clients_survive_faults_and_a_daemon_sigkill() {
                 .args(["client", &addr])
                 .arg(path)
                 .args(["--name", &format!("chaos_{i}")])
-                .args(["--chunk-events", "8", "--checkpoint-every", "100"])
+                .args(["--chunk-events", "8", "--checkpoint-every", "8"])
                 .args(["--retries", "16", "--inject-net", &(1000 + i as u64).to_string()])
                 .stdout(Stdio::piped())
                 .stderr(Stdio::piped())

@@ -377,6 +377,61 @@ fn killed_daemon_resumes_with_byte_identical_report() {
 }
 
 #[test]
+fn resume_after_periodic_checkpoints_skips_every_fed_chunk() {
+    let dir = scratch_dir("periodic");
+    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../tests/data/prodcons_racy.ftrc");
+    assert!(chunk_payloads(&file).len() > 5, "need an interior suspension point");
+    let (want, want_code) = one_shot(&file);
+
+    // Periodic cuts after chunks 2 and 4, then a suspension after chunk
+    // 5. The suspension's cut covers every fed chunk, so it replaces the
+    // periodic one from chunk 4.
+    let daemon_a = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);
+    let (stdout, code) = client(
+        &daemon_a.addr,
+        &file,
+        &[
+            "--chunk-events",
+            "8",
+            "--name",
+            "periodic",
+            "--checkpoint-every",
+            "2",
+            "--suspend-after",
+            "5",
+        ],
+    );
+    assert_eq!(code, Some(0), "suspended client exits clean:\n{stdout}");
+    assert!(
+        stdout.contains("suspended after 5 chunk(s)"),
+        "suspension notice:\n{stdout}"
+    );
+    drop(daemon_a); // SIGKILL, no drain
+
+    let daemon_b = Daemon::start(&[
+        "--resume",
+        "--checkpoint-dir",
+        dir.to_str().unwrap(),
+    ]);
+    let (stdout, code) = client(
+        &daemon_b.addr,
+        &file,
+        &["--chunk-events", "8", "--name", "periodic", "--checkpoint-every", "2"],
+    );
+    assert!(
+        stdout.contains("resumed: daemon skipped 5 "),
+        "expected all five fed chunks skipped:\n{stdout}"
+    );
+    assert_eq!(verdict_section(&stdout), want, "resumed verdict");
+    assert_eq!(code, want_code);
+
+    let (dcode, summary) = daemon_b.shutdown();
+    assert_eq!(dcode, Some(0), "daemon drain: {summary}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn draining_daemon_suspends_inflight_sessions() {
     let dir = scratch_dir("drain");
     let daemon = Daemon::start(&["--checkpoint-dir", dir.to_str().unwrap()]);

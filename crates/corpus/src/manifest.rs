@@ -24,7 +24,7 @@
 
 #![warn(missing_docs)]
 
-use futrace_offline::crc32::crc32;
+use futrace_util::crc32::crc32;
 use futrace_util::wire::{self, Cursor, WireError};
 use std::fmt;
 use std::fs::{File, OpenOptions};

@@ -34,7 +34,6 @@
 
 pub mod channel;
 pub mod checkpoint;
-pub mod crc32;
 pub mod framed;
 pub mod shard;
 pub mod supervise;

@@ -11,22 +11,24 @@
 //! Chunk feeding drives the engine's batched dispatch path
 //! incrementally: the session keeps a live serial engine, consumes each
 //! chunk's events the moment they arrive, and reports a [`VerdictDelta`]
-//! (chunks / events / races so far) after every chunk. For a serial
-//! configuration the final verdict *is* that engine's verdict — the
-//! stream was analyzed as it arrived, nothing is replayed at
-//! [`Session::finish`]. Sharded and supervised configurations replay the
-//! accumulated (re-framed) trace through the existing offline pipelines,
-//! whose merged reports are identical to serial by the pipeline's own
+//! (chunks / events / races so far) after every chunk. Unless a fault
+//! plan, a resume checkpoint or a shard count asks for another backend,
+//! the final verdict *is* that engine's verdict — the stream was
+//! analyzed as it arrived, nothing is replayed at [`Session::finish`].
+//! Sharded, fault-injected and resumed sessions replay the accumulated
+//! (re-framed) trace through the existing offline pipelines, whose
+//! merged reports are identical to serial by the pipeline's own
 //! equivalence tests.
 //!
-//! Suspend/resume piggybacks on the supervised pipeline's FCKP
-//! checkpoints: [`Session::suspend`] replays the received prefix under
-//! `stop_after_chunks` to cut a checkpoint at the last completed chunk
-//! boundary, and a session opened with [`Session::open_resumed`] skips
-//! the completed prefix at finish while the client re-streams the full
-//! trace (skip-completed-work resume). Periodic [`Session::checkpoint`]
-//! calls use the same mechanism, so a killed daemon loses at most the
-//! chunks received since the last interval.
+//! Suspend/resume uses the supervised pipeline's FCKP checkpoint format.
+//! [`Session::checkpoint`] (and [`Session::suspend`]) cut it straight
+//! from the live engine: the kept control-event prefix, the detector's
+//! access-derived state and the engine's counters, covering every chunk
+//! fed so far, as one shard (DESIGN S46). A session opened with
+//! [`Session::open_resumed`] skips the completed prefix at finish while
+//! the client re-streams the full trace (skip-completed-work resume).
+//! Periodic checkpoints cost one state save each, so a killed daemon
+//! loses at most the chunks received since the last interval.
 
 use futrace_detector::{
     DetectorConfig, DetectorStats, DtrgReport, MemoryFootprint, RaceDetector, RaceReport,
@@ -34,11 +36,13 @@ use futrace_detector::{
 use futrace_offline::checkpoint::FINGERPRINT_HEAD;
 use futrace_offline::framed;
 use futrace_offline::{
-    run_sharded_events, run_supervised, trace_chunks, trace_events, Checkpoint, ShardPlan,
-    ShardStats, SupervisedOutcome, SuperviseError, SupervisionReport, SupervisorPlan,
+    run_sharded_events, run_supervised, trace_chunks, trace_events, Checkpoint, RouterProgress,
+    ShardPlan, ShardStats, SupervisedOutcome, SuperviseError, SupervisionReport, SupervisorPlan,
     SyntheticChunks, TraceError, TraceFingerprint,
 };
-use futrace_runtime::engine::{run_analysis, source, Analysis, Engine, EngineCounters};
+use futrace_runtime::engine::{
+    run_analysis, source, Analysis, Checkpointable, Engine, EngineCounters,
+};
 use futrace_runtime::online::OnlineStats;
 use futrace_runtime::{trace, Event};
 use futrace_util::crc32::crc32;
@@ -57,8 +61,7 @@ pub enum SessionError {
     Supervise(String),
     /// The session configuration or feeding sequence is invalid.
     Config(String),
-    /// A checkpoint could not be cut, or a resumed checkpoint does not
-    /// match the re-streamed trace.
+    /// A resumed checkpoint does not match the re-streamed trace.
     Checkpoint(String),
 }
 
@@ -143,7 +146,10 @@ pub struct SessionConfig {
     pub detector: DetectorConfig,
     /// Sharded backend with this many detect workers; `None` = serial.
     pub shards: Option<usize>,
-    /// Supervised backend, barrier-snapshotting every N chunks.
+    /// Checkpoint interval in chunks. Whole-trace and event feeds run the
+    /// supervised backend, barrier-snapshotting every N chunks; a wire
+    /// session stays on its live engine and its caller cuts
+    /// [`Session::checkpoint`]s at this interval.
     pub checkpoint_every: Option<u64>,
     /// Supervised backend with the deterministic fault plan from a seed.
     pub fault_seed: Option<u64>,
@@ -155,10 +161,6 @@ pub struct SessionConfig {
 /// list (which has no framed boundaries of its own).
 pub(crate) const SYNTHETIC_CHUNK_EVENTS: u64 = 4096;
 
-/// Checkpoint interval injected when a session must cut a checkpoint but
-/// was not configured with one (mirrors the CLI's historical default).
-const INJECT_CHECKPOINT_EVERY: u64 = 8;
-
 enum Feed {
     /// Nothing fed yet (finishing analyzes an empty stream).
     Empty,
@@ -166,10 +168,12 @@ enum Feed {
     Trace(Vec<u8>),
     /// A whole decoded event list, fed in one call.
     Events(Vec<Event>),
-    /// Chunk-at-a-time feeding: the re-framed accumulated trace plus the
-    /// live incremental engine.
+    /// Chunk-at-a-time feeding: the re-framed accumulated trace, the
+    /// control events consumed so far (a checkpoint's replay prefix) and
+    /// the live incremental engine.
     Wire {
         blob: Vec<u8>,
+        control: Vec<Event>,
         engine: Box<Engine<RaceDetector>>,
     },
 }
@@ -275,33 +279,32 @@ impl Session {
     /// dispatch path immediately and returning the incremental verdict.
     ///
     /// The chunk is also appended (re-framed, CRC'd) to the session's
-    /// accumulated trace so the sharded / supervised backends and the
-    /// checkpoint machinery can replay the exact stream received.
+    /// accumulated trace so the sharded / supervised backends can replay
+    /// the exact stream received, and its control events are kept for
+    /// [`Session::checkpoint`].
     pub fn feed_chunk(&mut self, payload: &[u8]) -> Result<VerdictDelta, SessionError> {
         let events =
             trace::decode(payload).map_err(|e| SessionError::Trace(TraceError::Decode(e)))?;
-        let (blob, engine) = match &mut self.feed {
-            Feed::Empty => {
-                let mut blob = Vec::with_capacity(framed::HEADER_LEN + payload.len());
-                blob.extend_from_slice(&framed::MAGIC);
-                blob.push(framed::VERSION);
-                self.feed = Feed::Wire {
-                    blob,
-                    engine: Box::new(Engine::new(RaceDetector::with_config(
-                        self.cfg.detector.clone(),
-                    ))),
-                };
-                match &mut self.feed {
-                    Feed::Wire { blob, engine } => (blob, engine),
-                    _ => unreachable!(),
-                }
-            }
-            Feed::Wire { blob, engine } => (blob, engine),
-            _ => {
-                return Err(SessionError::Config(
-                    "feed_chunk: the session was already fed a whole trace".to_string(),
-                ))
-            }
+        if let Feed::Empty = self.feed {
+            let mut blob = Vec::with_capacity(framed::HEADER_LEN + payload.len());
+            blob.extend_from_slice(&framed::MAGIC);
+            blob.push(framed::VERSION);
+            let detector = RaceDetector::with_config(self.cfg.detector.clone());
+            self.feed = Feed::Wire {
+                blob,
+                control: Vec::new(),
+                engine: Box::new(Engine::new(detector)),
+            };
+        }
+        let Feed::Wire {
+            blob,
+            control,
+            engine,
+        } = &mut self.feed
+        else {
+            return Err(SessionError::Config(
+                "feed_chunk: the session was already fed a whole trace".to_string(),
+            ));
         };
         // Re-frame the chunk exactly as the streaming recorder would.
         let mut header = [0u8; framed::CHUNK_HEADER_LEN];
@@ -314,6 +317,11 @@ impl Session {
         engine.consume_slice(&events);
         self.chunks += 1;
         self.events += events.len() as u64;
+        control.extend(
+            events
+                .into_iter()
+                .filter(|e| !matches!(e, Event::Read(..) | Event::Write(..))),
+        );
         Ok(VerdictDelta {
             chunks: self.chunks,
             events: self.events,
@@ -321,13 +329,15 @@ impl Session {
         })
     }
 
-    fn supervised(&self) -> bool {
-        self.cfg.checkpoint_every.is_some()
-            || self.cfg.fault_seed.is_some()
-            || self.resume.is_some()
-    }
-
-    fn supervisor_plan(&self) -> SupervisorPlan {
+    /// The supervised backend's plan, when the configuration asks for that
+    /// backend: a checkpoint interval, a fault plan or a resume.
+    fn supervisor_plan(&self) -> Option<SupervisorPlan> {
+        if self.cfg.checkpoint_every.is_none()
+            && self.cfg.fault_seed.is_none()
+            && self.resume.is_none()
+        {
+            return None;
+        }
         let mut plan = SupervisorPlan {
             shard: ShardPlan::with_shards(self.cfg.shards.unwrap_or(ShardPlan::default().shards)),
             ..SupervisorPlan::default()
@@ -336,7 +346,7 @@ impl Session {
         if let Some(seed) = self.cfg.fault_seed {
             plan = plan.with_faults(&FaultPlan::from_seed(seed));
         }
-        plan
+        Some(plan)
     }
 
     /// Verifies a resumed checkpoint against the re-streamed trace. The
@@ -358,52 +368,56 @@ impl Session {
         Ok(())
     }
 
-    /// Cuts an FCKP checkpoint covering every *completed* chunk received
-    /// so far (all but the most recent, which resume re-analyzes), by
-    /// replaying the accumulated prefix under the supervised pipeline's
-    /// `stop_after_chunks` hook. Returns `None` when fewer than two
-    /// chunks have arrived — there is no completed boundary to cut at.
+    /// Cuts an FCKP checkpoint covering every chunk fed so far, straight
+    /// from the live engine: the kept control prefix, the detector's
+    /// access-derived state and the engine's counters, as one shard. It is
+    /// the cut the supervised pipeline would take after the same chunks
+    /// with one shard (DESIGN S46), at the cost of one state save.
     ///
-    /// This is a replay, so checkpointing every N chunks costs O(n²/N)
-    /// over a session's life — acceptable at trace-analysis scale, and
-    /// the price of reusing the battle-tested supervised snapshot path
-    /// instead of growing a second checkpoint mechanism.
+    /// Returns `None` before the first chunk and for whole-trace or event
+    /// feeds. A resumed session that has not yet re-fed its checkpoint's
+    /// chunks returns that checkpoint, so a second suspension never loses
+    /// ground. The live cut cannot fail; the `Result` is kept so callers
+    /// handle every session error the same way.
     pub fn checkpoint(&self) -> Result<Option<Checkpoint>, SessionError> {
-        let Feed::Wire { blob, .. } = &self.feed else {
+        let Feed::Wire {
+            blob,
+            control,
+            engine,
+        } = &self.feed
+        else {
             return Ok(None);
         };
-        if self.chunks < 2 {
-            return Ok(None);
+        if let Some(cp) = &self.resume {
+            if cp.chunks_completed > self.chunks {
+                return Ok(Some(cp.clone()));
+            }
         }
-        let mut plan = self.supervisor_plan();
-        plan.shard = ShardPlan::with_shards(self.cfg.shards.unwrap_or(1).max(1));
-        plan.checkpoint_every_chunks =
-            Some(self.cfg.checkpoint_every.unwrap_or(INJECT_CHECKPOINT_EVERY));
-        plan.stop_after_chunks = Some(self.chunks - 1);
-        plan.fingerprint = Some(TraceFingerprint::of(blob));
-        let lenient = self.cfg.lenient;
-        let detector = self.cfg.detector.clone();
-        let out = run_supervised(
-            || trace_events(blob, lenient),
-            || RaceDetector::with_config(detector.clone()),
-            &plan,
-            self.resume.as_ref(),
-        )
-        .map_err(erase_supervise_error)?;
-        match out {
-            SupervisedOutcome::Suspended { checkpoint, .. } => Ok(Some(checkpoint)),
-            // Only reachable if chunk accounting and the framed blob
-            // disagree, which feed_chunk's construction rules out.
-            SupervisedOutcome::Completed { .. } => Err(SessionError::Checkpoint(
-                "checkpoint replay completed instead of suspending".to_string(),
-            )),
-        }
+        let c = engine.counters();
+        let mut state = Vec::new();
+        engine.analysis().save_state(&mut state);
+        Ok(Some(Checkpoint {
+            shards: 1,
+            events_consumed: c.events,
+            next_access_index: c.checks(),
+            chunks_completed: self.chunks,
+            router: RouterProgress {
+                events: c.events,
+                control_events: c.control_events,
+                reads: c.reads,
+                writes: c.writes,
+            },
+            control_events: control.clone(),
+            per_shard_accesses: vec![c.checks()],
+            shard_states: vec![state],
+            fingerprint: Some(TraceFingerprint::of(blob)),
+        }))
     }
 
     /// Suspends the session: cuts a checkpoint (see
     /// [`Session::checkpoint`]) and consumes the session. Returns `None`
-    /// when nothing worth checkpointing was received; the caller then
-    /// simply starts over on resume.
+    /// when no chunk was received; the caller then simply starts over on
+    /// resume.
     pub fn suspend(self) -> Result<Option<Checkpoint>, SessionError> {
         self.checkpoint()
     }
@@ -411,21 +425,23 @@ impl Session {
     /// Runs the configured backend over everything fed and produces the
     /// final outcome.
     pub fn finish(self) -> Result<AnalysisOutcome, SessionError> {
-        let supervised = self.supervised();
-
-        // The serial wire path needs no replay at all: the incremental
-        // engine already consumed the stream chunk by chunk.
-        if !supervised && self.cfg.shards.is_none() {
+        // A fresh serial wire session needs no replay at all: the
+        // incremental engine already consumed the stream chunk by chunk.
+        // A checkpoint interval alone does not change that — checkpoints
+        // are cut from the same engine.
+        if self.cfg.shards.is_none() && self.cfg.fault_seed.is_none() && self.resume.is_none() {
             if let Feed::Wire { engine, .. } = self.feed {
                 let (analysis, mut counters) = engine.into_parts();
                 let report = Analysis::finish(analysis);
                 counters.wall_ms = self.timer.elapsed_ms();
                 return Ok(AnalysisOutcome::from_dtrg(report, counters));
             }
-        } else if let Feed::Trace(blob) | Feed::Wire { blob, .. } = &self.feed {
+        }
+        if let Feed::Trace(blob) | Feed::Wire { blob, .. } = &self.feed {
             self.verify_resume_fingerprint(blob)?;
         }
 
+        let plan = self.supervisor_plan();
         let lenient = self.cfg.lenient;
         let config = self.cfg.detector.clone();
         let timer = self.timer;
@@ -439,20 +455,7 @@ impl Session {
             Feed::Wire { blob, .. } => (Some(blob), None),
         };
 
-        if supervised {
-            let plan = {
-                let mut plan = SupervisorPlan {
-                    shard: ShardPlan::with_shards(
-                        self.cfg.shards.unwrap_or(ShardPlan::default().shards),
-                    ),
-                    ..SupervisorPlan::default()
-                };
-                plan.checkpoint_every_chunks = self.cfg.checkpoint_every;
-                if let Some(seed) = self.cfg.fault_seed {
-                    plan = plan.with_faults(&FaultPlan::from_seed(seed));
-                }
-                plan
-            };
+        if let Some(plan) = plan {
             let factory = || RaceDetector::with_config(config.clone());
             let resume = self.resume.as_ref();
             let out = match (&blob, &events) {
@@ -746,6 +749,25 @@ mod tests {
         assert_eq!(format!("{}", want.races), format!("{}", got.races));
         assert_eq!(want.races.total_detected, got.races.total_detected);
         assert!(got.supervision.is_some());
+    }
+
+    #[test]
+    fn resumed_session_never_cuts_behind_its_checkpoint() {
+        let chunks: Vec<Vec<u8>> = racy_events().chunks(2).map(trace::encode).collect();
+        let mut first = Session::open(SessionConfig::default()).unwrap();
+        assert!(first.checkpoint().unwrap().is_none(), "nothing fed yet");
+        for c in &chunks[..3] {
+            first.feed_chunk(c).unwrap();
+        }
+        let checkpoint = first.suspend().unwrap().expect("fed sessions cut");
+        assert_eq!(checkpoint.chunks_completed, 3);
+
+        // Suspended again after re-feeding only one chunk: the session
+        // keeps the cut it resumed from instead of a shorter one.
+        let mut resumed =
+            Session::open_resumed(SessionConfig::default(), checkpoint.clone()).unwrap();
+        resumed.feed_chunk(&chunks[0]).unwrap();
+        assert_eq!(resumed.suspend().unwrap(), Some(checkpoint));
     }
 
     #[test]
