@@ -60,10 +60,10 @@ pub mod smithwaterman;
 pub mod sor;
 pub mod strassen;
 
-/// In-crate stand-ins for the deprecated `futrace_detector` entry points.
-/// This crate sits below the `futrace` umbrella, so it cannot use the
-/// `Analyze` builder without a dependency cycle; its tests drive the
-/// engine directly instead.
+/// Test helpers that run a kernel under a live detector. This crate sits
+/// below the `futrace` umbrella, so it cannot use the `Analyze` builder
+/// without a dependency cycle; its tests drive the engine directly
+/// instead.
 #[cfg(test)]
 pub(crate) mod testutil {
     use futrace_detector::{DetectorStats, RaceDetector, RaceReport};

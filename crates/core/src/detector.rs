@@ -38,12 +38,9 @@ use crate::dtrg::Dtrg;
 use crate::report::{AccessKind, Race, RaceReport};
 use crate::shadow::{LastClean, Readers, ShadowCell, ShadowMemory};
 use crate::stats::DetectorStats;
-use futrace_runtime::engine::{
-    run_analysis_live, Analysis, Checkpointable, Engine, LocRoutable, StateError,
-};
+use futrace_runtime::engine::{Analysis, Checkpointable, LocRoutable, StateError};
 use futrace_runtime::monitor::{Event, Monitor, TaskKind};
 use futrace_runtime::online::ParMonitor;
-use futrace_runtime::SerialCtx;
 #[cfg(test)]
 use futrace_runtime::run_serial;
 use futrace_util::ids::{FinishId, LocId, TaskId};
@@ -486,7 +483,7 @@ impl Monitor for RaceDetector {
 /// statistics (Table 2's columns), and the measured space bound.
 ///
 /// This is the [`Analysis::Report`] of [`RaceDetector`] under the engine
-/// layer; [`detect_races`]-style helpers project out the pieces they need.
+/// layer; `futrace::Analyze` carries its three parts in an `AnalysisOutcome`.
 #[derive(Clone, Debug)]
 pub struct DtrgReport {
     /// Deduplicated, capped race report (the verdict).
@@ -897,65 +894,26 @@ fn kind_from_code(code: u64) -> Result<AccessKind, StateError> {
     }
 }
 
-/// Runs `f` under serial depth-first execution with a fresh
-/// default-configured [`RaceDetector`] and returns the report.
-///
-/// ```
-/// use futrace_detector::detect_races;
-/// use futrace_runtime::TaskCtx;
-///
-/// // Unsynchronized future write vs parent read: a race.
-/// let report = detect_races(|ctx| {
-///     let x = ctx.shared_var(0u64, "x");
-///     let x2 = x.clone();
-///     let _f = ctx.future(move |ctx| x2.write(ctx, 1));
-///     let _ = x.read(ctx); // no get() before the read
-/// });
-/// assert!(report.has_races());
-///
-/// // With the get() the program is race-free.
-/// let report = detect_races(|ctx| {
-///     let x = ctx.shared_var(0u64, "x");
-///     let x2 = x.clone();
-///     let f = ctx.future(move |ctx| x2.write(ctx, 1));
-///     ctx.get(&f);
-///     let _ = x.read(ctx);
-/// });
-/// assert!(!report.has_races());
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `futrace::Analyze` builder: `Analyze::program(f).run()`"
-)]
-pub fn detect_races<F>(f: F) -> RaceReport
-where
-    F: FnOnce(&mut SerialCtx<Engine<RaceDetector>>),
-{
-    run_analysis_live(f, RaceDetector::new()).report.report
-}
-
-/// As [`detect_races`] but also returns the run's statistics (Table 2's
-/// structural columns).
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `futrace::Analyze` builder: `Analyze::program(f).run()` \
-            returns races and stats in one `AnalysisOutcome`"
-)]
-pub fn detect_races_with_stats<F>(f: F) -> (RaceReport, DetectorStats)
-where
-    F: FnOnce(&mut SerialCtx<Engine<RaceDetector>>),
-{
-    let out = run_analysis_live(f, RaceDetector::new());
-    (out.report.report, out.report.stats)
-}
-
 #[cfg(test)]
 mod tests {
-    // The deprecated wrappers stay exercised here on purpose: these tests
-    // double as the compile check that the wrappers keep building.
-    #![allow(deprecated)]
     use super::*;
-    use futrace_runtime::TaskCtx;
+    use futrace_runtime::engine::{run_analysis_live, Engine};
+    use futrace_runtime::{SerialCtx, TaskCtx};
+
+    fn detect_races<F>(f: F) -> RaceReport
+    where
+        F: FnOnce(&mut SerialCtx<Engine<RaceDetector>>),
+    {
+        run_analysis_live(f, RaceDetector::new()).report.report
+    }
+
+    fn detect_races_with_stats<F>(f: F) -> (RaceReport, DetectorStats)
+    where
+        F: FnOnce(&mut SerialCtx<Engine<RaceDetector>>),
+    {
+        let out = run_analysis_live(f, RaceDetector::new());
+        (out.report.report, out.report.stats)
+    }
 
     #[test]
     fn race_free_empty_program() {
@@ -1452,28 +1410,21 @@ mod tests {
     }
 }
 
-/// Offline detection: decodes a binary trace (see
-/// [`futrace_runtime::trace`]) and replays it into a fresh detector,
-/// returning the report and statistics. The verdict is identical to the
-/// online run that recorded the trace.
-#[deprecated(
-    since = "0.1.0",
-    note = "use the `futrace::Analyze` builder: `Analyze::trace_bytes(blob).run()`"
-)]
-pub fn detect_races_in_trace(
-    blob: &[u8],
-) -> Result<(RaceReport, DetectorStats), futrace_runtime::trace::DecodeError> {
-    use futrace_runtime::engine::{run_analysis, source};
-    let events = futrace_runtime::trace::decode_iter(blob);
-    let out = run_analysis(source::stream(events), RaceDetector::new())?;
-    Ok((out.report.report, out.report.stats))
-}
-
 #[cfg(test)]
 mod trace_tests {
-    #![allow(deprecated)]
     use super::*;
-    use futrace_runtime::{trace, EventLog, TaskCtx};
+    use futrace_runtime::engine::{run_analysis, source};
+    use futrace_runtime::trace::{self, DecodeError};
+    use futrace_runtime::{EventLog, SerialCtx, TaskCtx};
+
+    /// Decodes a flat trace and replays it into a fresh detector.
+    fn detect_races_in_trace(blob: &[u8]) -> Result<(RaceReport, DetectorStats), DecodeError> {
+        let out = run_analysis(
+            source::stream(trace::decode_iter(blob)),
+            RaceDetector::new(),
+        )?;
+        Ok((out.report.report, out.report.stats))
+    }
 
     #[test]
     fn offline_detection_matches_online() {

@@ -28,7 +28,9 @@ pub mod session;
 
 pub use client::{shutdown, stream_trace, ClientError, ClientOptions, ClientOutcome};
 pub use server::{checkpoint_path, Server, ServeOptions, ServeStats, ServeSummary};
-pub use session::{AnalysisOutcome, Session, SessionConfig, SessionError, VerdictDelta};
+pub use session::{
+    AnalysisOutcome, ProgramMonitor, Session, SessionConfig, SessionError, VerdictDelta,
+};
 
 use futrace_detector::RaceReport;
 use std::fmt::Write as _;

@@ -1,12 +1,18 @@
 //! One incremental analysis, lifted out of the one-shot CLI.
 //!
-//! A [`Session`] owns exactly one DTRG analysis run. It can be fed three
-//! ways — a whole trace blob, a whole decoded event list, or chunk by
-//! chunk as frames arrive over the wire — and finished through any of
-//! the three backends (serial, sharded, supervised) the one-shot
-//! pipeline already had. The `futrace::Analyze` builder and `tracetool
-//! serve` both ride this type, so batch and streaming analysis share one
-//! code path and one [`AnalysisOutcome`] shape.
+//! A [`Session`] owns exactly one DTRG analysis run. It can be fed four
+//! ways — a program run under the serial executor, a whole trace blob, a
+//! whole decoded event list, or chunk by chunk as frames arrive over the
+//! wire — and finished through any of the three backends (serial,
+//! sharded, supervised) the one-shot pipeline already had. The
+//! `futrace::Analyze` builder and `tracetool serve` both ride this type,
+//! so batch and streaming analysis share one code path and one
+//! [`AnalysisOutcome`] shape.
+//!
+//! A program fed to a serial session is checked as it runs: the detector
+//! is the executor's monitor and nothing is recorded (DESIGN S47). The
+//! other backends replay the stream, so for them the program is recorded
+//! first.
 //!
 //! Chunk feeding drives the engine's batched dispatch path
 //! incrementally: the session keeps a live serial engine, consumes each
@@ -43,10 +49,12 @@ use futrace_offline::{
 use futrace_runtime::engine::{
     run_analysis, source, Analysis, Checkpointable, Engine, EngineCounters,
 };
+use futrace_runtime::monitor::{Monitor, TaskKind};
 use futrace_runtime::online::OnlineStats;
-use futrace_runtime::{trace, Event};
+use futrace_runtime::{run_serial, trace, Event, EventLog, SerialCtx};
 use futrace_util::crc32::crc32;
 use futrace_util::faultinject::FaultPlan;
+use futrace_util::ids::{FinishId, LocId, TaskId};
 use futrace_util::stats::Timer;
 use std::convert::Infallible;
 use std::fmt;
@@ -108,7 +116,10 @@ impl AnalysisOutcome {
         self.races.has_races()
     }
 
-    pub(crate) fn from_dtrg(report: DtrgReport, mut engine: EngineCounters) -> Self {
+    /// Assembles the outcome of a DTRG run from its report and the
+    /// engine's counters, copying the detector's cache hit/miss totals
+    /// into the counters. Backend-specific fields start empty.
+    pub fn from_dtrg(report: DtrgReport, mut engine: EngineCounters) -> Self {
         // Surface the analysis's hot-path cache counters next to the
         // driver's own counts: hits from both cache layers, misses from
         // the memo (the shadow fast path has no distinct miss event —
@@ -157,6 +168,68 @@ pub struct SessionConfig {
     pub lenient: bool,
 }
 
+/// The monitor a program fed to [`Session::feed_program`] runs under.
+pub enum ProgramMonitor {
+    /// A serial session's detector, checking each event as the program
+    /// emits it.
+    Live(Engine<RaceDetector>),
+    /// The recording a sharded or supervised backend replays.
+    Record(EventLog),
+}
+
+impl Monitor for ProgramMonitor {
+    fn task_create(&mut self, parent: TaskId, child: TaskId, kind: TaskKind, ief: FinishId) {
+        match self {
+            ProgramMonitor::Live(m) => m.task_create(parent, child, kind, ief),
+            ProgramMonitor::Record(m) => m.task_create(parent, child, kind, ief),
+        }
+    }
+    fn task_end(&mut self, task: TaskId) {
+        match self {
+            ProgramMonitor::Live(m) => m.task_end(task),
+            ProgramMonitor::Record(m) => m.task_end(task),
+        }
+    }
+    fn finish_start(&mut self, task: TaskId, finish: FinishId) {
+        match self {
+            ProgramMonitor::Live(m) => m.finish_start(task, finish),
+            ProgramMonitor::Record(m) => m.finish_start(task, finish),
+        }
+    }
+    fn finish_end(&mut self, task: TaskId, finish: FinishId, joined: &[TaskId]) {
+        match self {
+            ProgramMonitor::Live(m) => m.finish_end(task, finish, joined),
+            ProgramMonitor::Record(m) => m.finish_end(task, finish, joined),
+        }
+    }
+    fn get(&mut self, waiter: TaskId, awaited: TaskId) {
+        match self {
+            ProgramMonitor::Live(m) => m.get(waiter, awaited),
+            ProgramMonitor::Record(m) => m.get(waiter, awaited),
+        }
+    }
+    #[inline]
+    fn read(&mut self, task: TaskId, loc: LocId) {
+        match self {
+            ProgramMonitor::Live(m) => m.read(task, loc),
+            ProgramMonitor::Record(m) => m.read(task, loc),
+        }
+    }
+    #[inline]
+    fn write(&mut self, task: TaskId, loc: LocId) {
+        match self {
+            ProgramMonitor::Live(m) => m.write(task, loc),
+            ProgramMonitor::Record(m) => m.write(task, loc),
+        }
+    }
+    fn alloc(&mut self, base: LocId, n: u32, name: &str) {
+        match self {
+            ProgramMonitor::Live(m) => m.alloc(base, n, name),
+            ProgramMonitor::Record(m) => m.alloc(base, n, name),
+        }
+    }
+}
+
 /// Synthetic chunk granularity used when supervising an in-memory event
 /// list (which has no framed boundaries of its own).
 pub(crate) const SYNTHETIC_CHUNK_EVENTS: u64 = 4096;
@@ -168,6 +241,8 @@ enum Feed {
     Trace(Vec<u8>),
     /// A whole decoded event list, fed in one call.
     Events(Vec<Event>),
+    /// A program checked as it ran: the engine consumed its whole stream.
+    Program(Box<Engine<RaceDetector>>),
     /// Chunk-at-a-time feeding: the re-framed accumulated trace, the
     /// control events consumed so far (a checkpoint's replay prefix) and
     /// the live incremental engine.
@@ -274,6 +349,35 @@ impl Session {
         }
     }
 
+    /// Runs `f` under the serial depth-first executor and feeds its event
+    /// stream. A serial session with no checkpoint interval, fault plan or
+    /// resume checks the program as it runs and records nothing;
+    /// [`Session::finish`] then finishes that live engine. Every other
+    /// configuration records the stream for its backend to replay, as if
+    /// it were given to [`Session::feed_events`].
+    pub fn feed_program<F>(&mut self, f: F) -> Result<(), SessionError>
+    where
+        F: FnOnce(&mut SerialCtx<ProgramMonitor>),
+    {
+        if !matches!(self.feed, Feed::Empty) {
+            return Err(SessionError::Config(
+                "feed_program: the session was already fed".to_string(),
+            ));
+        }
+        let mut mon = if self.finishes_live() && self.cfg.checkpoint_every.is_none() {
+            let detector = RaceDetector::with_config(self.cfg.detector.clone());
+            ProgramMonitor::Live(Engine::new(detector))
+        } else {
+            ProgramMonitor::Record(EventLog::new())
+        };
+        run_serial(&mut mon, f);
+        self.feed = match mon {
+            ProgramMonitor::Live(engine) => Feed::Program(Box::new(engine)),
+            ProgramMonitor::Record(log) => Feed::Events(log.events),
+        };
+        Ok(())
+    }
+
     /// Feeds one trace chunk (v1-encoded events — the payload bytes of a
     /// framed `.ftrc` chunk), consuming it through the engine's batched
     /// dispatch path immediately and returning the incremental verdict.
@@ -327,6 +431,12 @@ impl Session {
             events: self.events,
             races: engine.analysis().total_detected(),
         })
+    }
+
+    /// True when [`Session::finish`] takes the verdict from a live engine
+    /// rather than replaying the feed: no shards, no fault plan, no resume.
+    fn finishes_live(&self) -> bool {
+        self.cfg.shards.is_none() && self.cfg.fault_seed.is_none() && self.resume.is_none()
     }
 
     /// The supervised backend's plan, when the configuration asks for that
@@ -428,9 +538,10 @@ impl Session {
         // A fresh serial wire session needs no replay at all: the
         // incremental engine already consumed the stream chunk by chunk.
         // A checkpoint interval alone does not change that — checkpoints
-        // are cut from the same engine.
-        if self.cfg.shards.is_none() && self.cfg.fault_seed.is_none() && self.resume.is_none() {
-            if let Feed::Wire { engine, .. } = self.feed {
+        // are cut from the same engine. A program checked as it ran is
+        // finished the same way.
+        if self.finishes_live() {
+            if let Feed::Wire { engine, .. } | Feed::Program(engine) = self.feed {
                 let (analysis, mut counters) = engine.into_parts();
                 let report = Analysis::finish(analysis);
                 counters.wall_ms = self.timer.elapsed_ms();
@@ -453,6 +564,9 @@ impl Session {
             Feed::Trace(data) => (Some(data), None),
             Feed::Events(ev) => (None, Some(ev)),
             Feed::Wire { blob, .. } => (Some(blob), None),
+            Feed::Program(_) => {
+                unreachable!("a program is checked live only when it finishes live")
+            }
         };
 
         if let Some(plan) = plan {

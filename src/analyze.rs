@@ -1,11 +1,7 @@
 //! `Analyze` — the one front door for DTRG race detection.
 //!
-//! Before this module, running the detector meant picking from a zoo of
-//! entry points: `detect_races` / `detect_races_with_stats` /
-//! `detect_races_in_trace` for serial runs, a hand-assembled
-//! `run_sharded_events` call for sharded replay, and a hand-built
-//! `SupervisorPlan` for fault-tolerant runs — each returning a
-//! differently-shaped result. The builder collapses all of it:
+//! The builder gives every way of running the detector one entry point
+//! and one result shape:
 //!
 //! ```
 //! use futrace::Analyze;
@@ -32,28 +28,26 @@
 //! `Analyze::trace(path).shards(4).checkpoint_every(8).run()` replays a
 //! recorded trace through the supervised sharded pipeline.
 //!
-//! Since the session layer landed, the builder is a thin shell: it
-//! resolves the source (running and recording a program, reading a trace
-//! file) and then opens a [`crate::service::Session`], feeds it
-//! everything, and finishes it — the exact machinery `tracetool serve`
-//! drives chunk by chunk over the wire. One-shot and streamed analysis
-//! therefore share every backend decision and produce identical
-//! verdicts.
+//! The builder is a thin shell over the session layer: it opens a
+//! [`crate::service::Session`], feeds it the source, and finishes it —
+//! the exact machinery `tracetool serve` drives chunk by chunk over the
+//! wire. One-shot and streamed analysis therefore share every backend
+//! decision and produce identical verdicts.
 //!
-//! A program source is recorded to an [`EventLog`] and replayed through
-//! the engine's batched dispatch path. The serial executor is
-//! deterministic, so the replayed verdict is identical to a live run's
-//! (the equivalence the replay test suite pins down) — and it lets the
-//! same program feed the serial, sharded, and supervised backends
-//! unchanged.
+//! A program source on the default serial configuration is checked as it
+//! runs: the detector is the serial executor's monitor, as in the paper
+//! (§4.1), and no event is recorded. With [`Analyze::shards`],
+//! [`Analyze::checkpoint_every`] or [`Analyze::fault_plan`] the program is
+//! recorded and the recording replayed through that backend. The verdict
+//! is the same either way (DESIGN S47).
 
 use crate::detector::{DetectorConfig, OnlineDtrg};
 use crate::offline::TraceError;
 use crate::runtime::online::{run_online, OnlineOptions};
-use crate::runtime::{run_serial, Event, EventLog, ParCtx, SerialCtx};
+use crate::runtime::{Event, ParCtx, SerialCtx};
 use crate::service::{Session, SessionConfig, SessionError};
 
-pub use crate::service::AnalysisOutcome;
+pub use crate::service::{AnalysisOutcome, ProgramMonitor};
 
 /// Why an [`Analyze::run`] failed. Program and event-slice sources are
 /// infallible; the variants cover trace I/O, trace decoding, and
@@ -110,7 +104,7 @@ impl From<SessionError> for AnalyzeError {
     }
 }
 
-type Program<'a> = Box<dyn FnOnce(&mut SerialCtx<EventLog>) + 'a>;
+type Program<'a> = Box<dyn FnOnce(&mut SerialCtx<ProgramMonitor>) + 'a>;
 type ParProgram<'a> = Box<dyn FnOnce(&mut ParCtx) + Send + 'a>;
 
 enum Source<'a> {
@@ -147,13 +141,19 @@ impl<'a> Analyze<'a> {
         }
     }
 
-    /// Analyzes a serial depth-first execution of `f` (the DSL program
-    /// form the old `detect_races` took). The execution is recorded and
-    /// replayed through the configured backend; the serial executor is
-    /// deterministic, so the verdict is identical to a live run's.
+    /// Analyzes a serial depth-first execution of `f`. On the default
+    /// serial configuration the detector checks the program as it runs.
+    /// The sharded and supervised backends ([`Analyze::shards`],
+    /// [`Analyze::checkpoint_every`], [`Analyze::fault_plan`]) replay a
+    /// recording of the same execution instead; the serial executor is
+    /// deterministic, so the verdict is the same.
+    ///
+    /// A closure that names its context type names
+    /// `SerialCtx<ProgramMonitor>`; one generic over
+    /// [`crate::runtime::TaskCtx`] runs here and anywhere else.
     pub fn program<F>(f: F) -> Self
     where
-        F: FnOnce(&mut SerialCtx<EventLog>) + 'a,
+        F: FnOnce(&mut SerialCtx<ProgramMonitor>) + 'a,
     {
         Analyze::new(Source::Program(Box::new(f)))
     }
@@ -194,8 +194,8 @@ impl<'a> Analyze<'a> {
         Analyze::new(Source::TraceBytes(blob))
     }
 
-    /// Analyzes an already-decoded event slice (an [`EventLog`]'s
-    /// events).
+    /// Analyzes an already-decoded event slice (an
+    /// [`crate::runtime::EventLog`]'s events).
     pub fn events(events: &'a [Event]) -> Self {
         Analyze::new(Source::Events(events))
     }
@@ -284,11 +284,7 @@ impl<'a> Analyze<'a> {
             lenient,
         })?;
         match source {
-            Source::Program(f) => {
-                let mut log = EventLog::new();
-                run_serial(&mut log, f);
-                session.feed_events(log.events)?;
-            }
+            Source::Program(f) => session.feed_program(f)?,
             Source::TracePath(path) => {
                 let data = std::fs::read(&path).map_err(|e| AnalyzeError::Io(path.clone(), e))?;
                 session.feed_trace(data)?;
@@ -342,20 +338,7 @@ impl<'a> Analyze<'a> {
         if let Err(e) = run.result {
             return Err(AnalyzeError::Deadlock(e.to_string()));
         }
-        let mut engine = run.engine;
-        // Same cache-counter enrichment the session layer applies: hits
-        // from both cache layers, misses from the memo.
-        engine.cache_hits = run.report.stats.dtrg.memo_hits + run.report.stats.dtrg.shadow_hits;
-        engine.cache_misses = run.report.stats.dtrg.memo_misses;
-        let mut outcome = AnalysisOutcome {
-            races: run.report.report,
-            stats: run.report.stats,
-            footprint: run.report.footprint,
-            engine,
-            sharding: None,
-            supervision: None,
-            online: None,
-        };
+        let mut outcome = AnalysisOutcome::from_dtrg(run.report, run.engine);
         outcome.online = Some(run.stats);
         Ok(outcome)
     }
@@ -364,9 +347,9 @@ impl<'a> Analyze<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::TaskCtx;
+    use crate::runtime::{run_serial, EventLog, Monitor, TaskCtx};
 
-    fn racy(ctx: &mut SerialCtx<EventLog>) {
+    fn racy<M: Monitor>(ctx: &mut SerialCtx<M>) {
         let x = ctx.shared_var(0u64, "x");
         let x2 = x.clone();
         let _f = ctx.future(move |ctx| x2.write(ctx, 1));

@@ -81,7 +81,7 @@
 
 pub mod analyze;
 
-pub use analyze::{AnalysisOutcome, Analyze, AnalyzeError};
+pub use analyze::{AnalysisOutcome, Analyze, AnalyzeError, ProgramMonitor};
 
 pub use futrace_baselines as baselines;
 pub use futrace_benchsuite as benchsuite;
@@ -96,13 +96,11 @@ pub use futrace_util as util;
 /// Convenience prelude for examples and downstream users.
 ///
 /// The two driving surfaces are [`Analyze`] (every source, every
-/// backend, one outcome shape) and [`ParMonitor`] (custom analyses over
-/// the canonical stream, online). The `detect_races*` helpers are
-/// deprecated and no longer re-exported here — migrate to
-/// `Analyze::program(f).run()`; they remain reachable at
-/// [`detector::detect_races`] until removal.
+/// backend, one outcome shape) and
+/// [`ParMonitor`](runtime::online::ParMonitor) (custom analyses over the
+/// canonical stream, online).
 pub mod prelude {
-    pub use crate::analyze::{AnalysisOutcome, Analyze, AnalyzeError};
+    pub use crate::analyze::{AnalysisOutcome, Analyze, AnalyzeError, ProgramMonitor};
     pub use futrace_detector::{
         DetectorConfig, DtrgReport, MemoryFootprint, OnlineDtrg, RaceDetector, RaceReport,
     };
