@@ -24,7 +24,7 @@
 //! detectors.
 
 use crate::{BaselineDetector, BaselineReport};
-use futrace_runtime::engine::{control_to_monitor, Analysis, Checkpointable, LocRoutable, StateError};
+use futrace_runtime::engine::{control_to_monitor, Analysis, Checkpointable, StateError};
 use futrace_runtime::monitor::{Event, Monitor, TaskKind};
 use futrace_util::ids::{FinishId, LocId, TaskId};
 use futrace_util::wire;
@@ -244,7 +244,10 @@ impl Analysis for VectorClockDetector {
     }
 }
 
-impl LocRoutable for VectorClockDetector {
+/// Checkpoint state-blob version for [`VectorClockDetector`].
+const VC_STATE_VERSION: u64 = 1;
+
+impl Checkpointable for VectorClockDetector {
     /// Vector clocks qualify for loc-routed sharding: clocks are mutated
     /// only by control events (spawn, `get`, finish end), which every
     /// replica applies identically, and each access check touches exactly
@@ -253,19 +256,18 @@ impl LocRoutable for VectorClockDetector {
     /// 0's are taken verbatim.
     fn merge_sharded(self, shards: Vec<BaselineReport>) -> BaselineReport {
         let races = shards.iter().map(|s| s.races).sum();
-        let notes = shards.into_iter().next().map(|s| s.notes).unwrap_or_default();
+        let notes = shards
+            .into_iter()
+            .next()
+            .map(|s| s.notes)
+            .unwrap_or_default();
         BaselineReport {
             name: "vector-clock",
             races,
             notes,
         }
     }
-}
 
-/// Checkpoint state-blob version for [`VectorClockDetector`].
-const VC_STATE_VERSION: u64 = 1;
-
-impl Checkpointable for VectorClockDetector {
     /// Access-derived state is the epoch shadow memory and the race count.
     /// The clocks themselves — and the growth metrics derived from them —
     /// mutate only on control events, so the restore contract's control

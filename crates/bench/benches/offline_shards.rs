@@ -8,9 +8,10 @@
 //!   work plus the N-fold replicated DTRG maintenance. This is the part
 //!   that parallelizes; on a single-core host its wall time stays ~flat
 //!   (the work is conserved) and the speedup shows up only on multicore.
-//! * `pipeline/N` — end-to-end `detect_sharded_events` (route + channels
-//!   + merge); `pipeline/1` vs `serial-replay` isolates the pipeline tax
-//!   (per-event routing, batching, and control-event cloning).
+//! * `pipeline/N` — end-to-end `run_supervised` with a fault-free plan
+//!   (route + channels + merge); `pipeline/1` vs `serial-replay` isolates
+//!   the pipeline tax (per-event routing, batching, and control-event
+//!   cloning).
 //!
 //! The events are pre-decoded so varint decoding is excluded throughout;
 //! results are emitted as JSON lines by the in-tree runner
@@ -19,7 +20,9 @@
 use futrace_bench::runner::{BenchmarkId, Runner};
 use futrace_benchsuite::{jacobi, smithwaterman};
 use futrace_detector::RaceDetector;
-use futrace_offline::{detect_sharded_events, ShardOptions};
+use futrace_offline::{
+    run_supervised, ShardPlan, SupervisedOutcome, SupervisorPlan, SyntheticChunks,
+};
 use futrace_runtime::{replay, run_serial, Event, EventLog};
 use std::convert::Infallible;
 
@@ -124,12 +127,20 @@ fn shard_scaling(c: &mut Runner, name: &str, events: &[Event]) {
                 })
             })
         });
-        let opts = ShardOptions::with_shards(shards);
-        g.bench_with_input(BenchmarkId::new("pipeline", shards), &opts, |b, opts| {
+        let plan = SupervisorPlan {
+            shard: ShardPlan::with_shards(shards),
+            ..SupervisorPlan::default()
+        };
+        g.bench_with_input(BenchmarkId::new("pipeline", shards), &plan, |b, plan| {
             b.iter(|| {
-                let stream = events.iter().cloned().map(Ok::<_, Infallible>);
-                let out = detect_sharded_events(stream, opts).unwrap();
-                out.report.total_detected
+                let stream =
+                    || SyntheticChunks::new(events.iter().cloned().map(Ok::<_, Infallible>), 4096);
+                let Ok(SupervisedOutcome::Completed { report, .. }) =
+                    run_supervised(stream, RaceDetector::new, plan, None)
+                else {
+                    unreachable!("an infallible stream with no stop point completes");
+                };
+                report.report.total_detected
             })
         });
     }

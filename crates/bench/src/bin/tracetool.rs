@@ -30,8 +30,8 @@
 //! # per-detector jobs on a DAG-scheduled worker pool, resume manifest,
 //! # aggregated agreement/drift/damage report (JSON + markdown):
 //! tracetool corpus DIR [--out DIR] [--detectors a,b,...] [--max-parallel N]
-//!     [--failure-policy continue|abort] [--shards N] [--supervised]
-//!     [--lenient] [--fresh] [--stop-after-jobs N]
+//!     [--failure-policy continue|abort] [--shards N] [--lenient]
+//!     [--fresh] [--stop-after-jobs N]
 //!
 //! # differential fuzzing: generate future-heavy random programs, run all
 //! # registered detectors (serial + sharded), classify disagreements
@@ -109,7 +109,7 @@ usage:
   tracetool verify FILE
   tracetool corpus DIR [--out DIR] [--detectors NAME,NAME,...]
                    [--max-parallel N] [--failure-policy continue|abort]
-                   [--shards N] [--supervised] [--lenient] [--fresh]
+                   [--shards N] [--lenient] [--fresh]
                    [--stop-after-jobs N] [--job-timeout-ms T]
                    [--job-retries N]
   tracetool fuzz [--programs N] [--seed S]
@@ -441,11 +441,16 @@ fn print_engine_counters(counters: &EngineCounters) {
     println!("{counters}");
 }
 
-/// Runs the supervised fault-tolerant pipeline: restart-from-snapshot,
-/// degrade-to-serial, suspend/resume. Prints the same verdict section as
-/// every other path; supervision outcomes surface in the `-- engine --`
-/// block only.
-fn analyze_supervised(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan>) -> bool {
+/// Runs the sharded pipeline under its supervisor (restart-from-snapshot,
+/// degrade-to-serial, suspend/resume) with `shards` workers. Prints the
+/// same verdict section as the serial path; supervision outcomes surface
+/// in the `-- engine --` block only.
+fn analyze_sharded(
+    args: &AnalyzeArgs,
+    shards: usize,
+    blob: &[u8],
+    faults: Option<&FaultPlan>,
+) -> bool {
     if (args.checkpoint_every.is_some() || args.stop_after.is_some())
         && !framed::is_framed(blob)
     {
@@ -488,7 +493,7 @@ fn analyze_supervised(args: &AnalyzeArgs, blob: &[u8], faults: Option<&FaultPlan
     });
 
     let mut plan = SupervisorPlan {
-        shard: ShardPlan::with_shards(args.shards.unwrap_or(ShardPlan::default().shards)),
+        shard: ShardPlan::with_shards(shards),
         checkpoint_every_chunks: checkpoint_every,
         stop_after_chunks: args.stop_after,
         fingerprint: Some(TraceFingerprint::of(blob)),
@@ -599,36 +604,8 @@ fn analyze(args: AnalyzeArgs) {
         None => read_trace(&args.file),
     };
 
-    let racy = if args.supervised() {
-        analyze_supervised(&args, &blob, faults.as_ref())
-    } else if let Some(shards) = args.shards {
-        let plan = ShardPlan::with_shards(shards);
-        let mut events = trace_events(&blob, args.lenient);
-        let run = match detectors::run_sharded_on_events(&args.detector, &mut events, &plan) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("invalid trace {}: {e}", args.file);
-                std::process::exit(1);
-            }
-        };
-        let skipped = events.skipped_chunks();
-        let s = &run.stats;
-        println!("{}: {} events", args.file, s.events);
-        note_if_empty(s.events);
-        if skipped > 0 {
-            eprintln!("warning: skipped {skipped} damaged chunk(s)");
-        }
-        println!("\n-- sharded pipeline --");
-        println!("shards:      {}", s.shards);
-        println!(
-            "events:      {} ({} control broadcast, {} accesses routed)",
-            s.events, s.control_events, s.accesses
-        );
-        println!(
-            "accesses:    {} reads, {} writes; per shard: {:?}",
-            s.reads, s.writes, s.per_shard_accesses
-        );
-        print_report(&args.detector, &run.report)
+    let racy = if let Some(shards) = args.shards {
+        analyze_sharded(&args, shards, &blob, faults.as_ref())
     } else {
         let (events, skipped) = decode_all(&args.file, &blob, args.lenient);
         println!("{}: {} events", args.file, events.len());
@@ -981,7 +958,6 @@ fn corpus(args: CorpusArgs) {
         FailurePolicy::Continue
     };
     opts.shards = args.shards;
-    opts.supervised = args.supervised;
     opts.lenient = args.lenient;
     opts.fresh = args.fresh;
     opts.stop_after_jobs = args.stop_after_jobs;

@@ -11,6 +11,7 @@
 
 use crate::detectors::{is_detector, is_shardable, DETECTOR_NAMES};
 use futrace_benchsuite::registry;
+use futrace_offline::ShardPlan;
 
 /// A parsed `tracetool` invocation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,7 +101,9 @@ pub struct AnalyzeArgs {
     /// [`crate::detectors::DETECTOR_NAMES`]; defaults to `dtrg`).
     pub detector: String,
     /// Run the sharded offline pipeline with this many detect workers
-    /// instead of the serial replay (loc-routable detectors only).
+    /// instead of the serial replay (loc-routable detectors only). Any
+    /// fault-tolerance flag implies it, with the default worker count when
+    /// `--shards` is absent (a resume runs its checkpoint's count).
     pub shards: Option<usize>,
     /// Skip damaged framed chunks instead of aborting.
     pub lenient: bool,
@@ -109,9 +112,9 @@ pub struct AnalyzeArgs {
     /// Write the computation graph as Graphviz to this path.
     pub dot: Option<String>,
     /// Seed for deterministic fault injection: read faults on the trace
-    /// file plus worker panic/stall faults in the supervised pipeline.
+    /// file plus worker panic/stall faults in the sharded pipeline.
     pub inject: Option<u64>,
-    /// Barrier-snapshot every N chunk boundaries (supervised pipeline).
+    /// Barrier-snapshot every N chunk boundaries (sharded pipeline).
     /// When absent but `--inject` is given on a framed trace, the tool
     /// defaults an interval so the replay buffer stays bounded.
     pub checkpoint_every: Option<u64>,
@@ -123,18 +126,6 @@ pub struct AnalyzeArgs {
     /// Suspend after this many trace chunks (absolute count; requires
     /// `--checkpoint` to receive the snapshot).
     pub stop_after: Option<u64>,
-}
-
-impl AnalyzeArgs {
-    /// True iff any fault-tolerance flag was given, which routes the run
-    /// through the supervised pipeline instead of the plain sharded one.
-    pub fn supervised(&self) -> bool {
-        self.inject.is_some()
-            || self.checkpoint_every.is_some()
-            || self.checkpoint.is_some()
-            || self.resume.is_some()
-            || self.stop_after.is_some()
-    }
 }
 
 /// Options for `tracetool fuzz` (the differential fuzzing mode; see
@@ -176,9 +167,6 @@ pub struct CorpusArgs {
     pub abort: bool,
     /// Shard count for shardable detectors' analyze jobs.
     pub shards: Option<usize>,
-    /// Run shardable detectors under the fault-tolerant supervisor
-    /// (requires `--shards`).
-    pub supervised: bool,
     /// Skip damaged framed chunks instead of failing the analyze job.
     pub lenient: bool,
     /// Discard any existing resume manifest and start over.
@@ -433,18 +421,18 @@ fn parse_analyze(args: &[String]) -> Result<AnalyzeArgs, String> {
              drop --shards (shardable: dtrg, vc)"
         ));
     }
-    let supervised_flag = inject.is_some()
+    let fault_tolerance = inject.is_some()
         || checkpoint_every.is_some()
         || checkpoint.is_some()
         || resume.is_some()
         || stop_after.is_some();
-    if supervised_flag && !is_shardable(&detector) {
+    if fault_tolerance && !is_shardable(&detector) {
         return Err(format!(
             "detector `{detector}` cannot run under the supervised pipeline; \
              --inject/--checkpoint*/--resume/--stop-after need a shardable detector (dtrg, vc)"
         ));
     }
-    if supervised_flag && graph {
+    if fault_tolerance && graph {
         return Err("--graph/--dot require the serial path; drop the fault-tolerance flags".into());
     }
     if stop_after.is_some() && checkpoint.is_none() {
@@ -453,7 +441,7 @@ fn parse_analyze(args: &[String]) -> Result<AnalyzeArgs, String> {
     Ok(AnalyzeArgs {
         file: file.ok_or("analyze: trace file is required")?,
         detector,
-        shards,
+        shards: shards.or(fault_tolerance.then_some(ShardPlan::default().shards)),
         lenient,
         graph,
         dot,
@@ -613,7 +601,6 @@ fn parse_corpus(args: &[String]) -> Result<CorpusArgs, String> {
     let mut max_parallel: usize = 1;
     let mut abort = false;
     let mut shards = None;
-    let mut supervised = false;
     let mut lenient = false;
     let mut fresh = false;
     let mut stop_after_jobs = None;
@@ -646,7 +633,6 @@ fn parse_corpus(args: &[String]) -> Result<CorpusArgs, String> {
                 }
             },
             "--shards" => shards = Some(parse_shards(args, &mut i)?),
-            "--supervised" => supervised = true,
             "--lenient" => lenient = true,
             "--fresh" => fresh = true,
             "--stop-after-jobs" => {
@@ -662,9 +648,6 @@ fn parse_corpus(args: &[String]) -> Result<CorpusArgs, String> {
             other => return Err(format!("corpus: unknown argument `{other}`")),
         }
         i += 1;
-    }
-    if supervised && shards.is_none() {
-        return Err("--supervised needs --shards N (it is sharding plus recovery)".into());
     }
     if detectors.is_empty() {
         detectors = DETECTOR_NAMES.iter().map(|s| s.to_string()).collect();
@@ -684,7 +667,6 @@ fn parse_corpus(args: &[String]) -> Result<CorpusArgs, String> {
         max_parallel,
         abort,
         shards,
-        supervised,
         lenient,
         fresh,
         stop_after_jobs,
@@ -1170,7 +1152,11 @@ mod tests {
             panic!()
         };
         assert_eq!(a.inject, Some(42));
-        assert!(a.supervised());
+        assert_eq!(
+            a.shards,
+            Some(ShardPlan::default().shards),
+            "--inject implies sharding"
+        );
 
         // record-side: same validation, and --stream is required.
         let err =
@@ -1197,18 +1183,17 @@ mod tests {
         assert_eq!(a.checkpoint_every, Some(4));
         assert_eq!(a.stop_after, Some(8));
         assert_eq!(a.checkpoint.as_deref(), Some("c.ckpt"));
-        assert!(a.supervised());
+        assert_eq!(a.shards, Some(2));
 
         let Command::Analyze(a) = parse(&argv("analyze t --resume c.ckpt")).unwrap() else {
             panic!()
         };
         assert_eq!(a.resume.as_deref(), Some("c.ckpt"));
-        assert!(a.supervised());
-
-        let Command::Analyze(a) = parse(&argv("analyze t --shards 2")).unwrap() else {
-            panic!()
-        };
-        assert!(!a.supervised(), "plain sharding is not the supervised path");
+        assert_eq!(
+            a.shards,
+            Some(ShardPlan::default().shards),
+            "--resume implies sharding"
+        );
 
         let err = parse(&argv("analyze t --stop-after 3")).unwrap_err();
         assert!(err.contains("--checkpoint"), "{err}");
@@ -1231,7 +1216,7 @@ mod tests {
         assert!(c.out.is_none());
         assert_eq!(c.detectors, DETECTOR_NAMES);
         assert_eq!(c.max_parallel, 1);
-        assert!(!c.abort && !c.supervised && !c.lenient && !c.fresh);
+        assert!(!c.abort && !c.lenient && !c.fresh);
         assert!(c.shards.is_none() && c.stop_after_jobs.is_none());
         assert!(c.job_timeout_ms.is_none());
     }
@@ -1369,7 +1354,7 @@ mod tests {
     fn corpus_full_flag_set() {
         let Command::Corpus(c) = parse(&argv(
             "corpus traces --out run1 --detectors dtrg,vc --max-parallel 4 \
-             --failure-policy abort --shards 2 --supervised --lenient --fresh \
+             --failure-policy abort --shards 2 --lenient --fresh \
              --stop-after-jobs 9",
         ))
         .unwrap() else {
@@ -1379,7 +1364,7 @@ mod tests {
         assert_eq!(c.out.as_deref(), Some("run1"));
         assert_eq!(c.detectors, ["dtrg", "vc"]);
         assert_eq!(c.max_parallel, 4);
-        assert!(c.abort && c.supervised && c.lenient && c.fresh);
+        assert!(c.abort && c.lenient && c.fresh);
         assert_eq!(c.shards, Some(2));
         assert_eq!(c.stop_after_jobs, Some(9));
     }
@@ -1411,7 +1396,7 @@ mod tests {
         let err = parse(&argv("corpus d --detectors dtrg,bogus")).unwrap_err();
         assert!(err.contains("unknown detector `bogus`"), "{err}");
         let err = parse(&argv("corpus d --supervised")).unwrap_err();
-        assert!(err.contains("--shards"), "{err}");
+        assert!(err.contains("unknown argument `--supervised`"), "{err}");
         let err = parse(&argv("corpus d --shards 0")).unwrap_err();
         assert!(err.contains("at least 1"), "{err}");
         let err = parse(&argv("corpus d --stop-after-jobs 0")).unwrap_err();

@@ -38,7 +38,7 @@ use crate::dtrg::Dtrg;
 use crate::report::{AccessKind, Race, RaceReport};
 use crate::shadow::{LastClean, Readers, ShadowCell, ShadowMemory};
 use crate::stats::DetectorStats;
-use futrace_runtime::engine::{Analysis, Checkpointable, LocRoutable, StateError};
+use futrace_runtime::engine::{Analysis, Checkpointable, StateError};
 use futrace_runtime::monitor::{Event, Monitor, TaskKind};
 use futrace_runtime::online::ParMonitor;
 #[cfg(test)]
@@ -523,74 +523,6 @@ impl Analysis for RaceDetector {
     }
 }
 
-impl LocRoutable for RaceDetector {
-    /// Merges per-shard [`DtrgReport`]s back into the serial result.
-    ///
-    /// The race report merge is byte-identical to the serial run (see the
-    /// soundness argument in `futrace-offline`'s shard module): concatenate
-    /// in shard order, stable-sort by global access index, re-apply the
-    /// global cap taken from `self`'s configuration. Statistics merge
-    /// field-wise: control-derived counters (task counts, gets, merges,
-    /// non-tree edges) are identical in every replica so shard 0's values
-    /// are taken verbatim; access-derived counters (reads, writes,
-    /// `precede` calls, stored readers, the reader-count distribution) are
-    /// summed across shards. The one backend-dependent counter is
-    /// `visit_expansions`: path compression interleaves differently across
-    /// replicas, so its merged value is the sum of per-shard costs, not the
-    /// serial run's cost.
-    fn merge_sharded(self, shards: Vec<DtrgReport>) -> DtrgReport {
-        let mut stats = shards
-            .first()
-            .map(|s| s.stats.clone())
-            .unwrap_or_default();
-        stats.reads = 0;
-        stats.writes = 0;
-        stats.readers_at_access = Default::default();
-        stats.dtrg.precede_calls = 0;
-        stats.dtrg.visit_expansions = 0;
-        stats.dtrg.memo_hits = 0;
-        stats.dtrg.memo_misses = 0;
-        stats.dtrg.shadow_hits = 0;
-
-        let mut footprint = shards.first().map(|s| s.footprint).unwrap_or(MemoryFootprint {
-            dtrg_tasks: 0,
-            stored_nt_edges: 0,
-            shadow_cells: 0,
-            stored_readers: 0,
-        });
-        footprint.stored_readers = 0;
-
-        let mut races: Vec<Race> = Vec::new();
-        let mut total_detected = 0u64;
-        for shard in shards {
-            total_detected += shard.report.total_detected;
-            races.extend(shard.report.races);
-            stats.reads += shard.stats.reads;
-            stats.writes += shard.stats.writes;
-            stats
-                .readers_at_access
-                .merge(&shard.stats.readers_at_access);
-            stats.dtrg.precede_calls += shard.stats.dtrg.precede_calls;
-            stats.dtrg.visit_expansions += shard.stats.dtrg.visit_expansions;
-            stats.dtrg.memo_hits += shard.stats.dtrg.memo_hits;
-            stats.dtrg.memo_misses += shard.stats.dtrg.memo_misses;
-            stats.dtrg.shadow_hits += shard.stats.dtrg.shadow_hits;
-            footprint.stored_readers += shard.footprint.stored_readers;
-        }
-        races.sort_by(|a, b| a.access_index.cmp(&b.access_index));
-        races.truncate(self.config.max_reports);
-
-        DtrgReport {
-            report: RaceReport {
-                races,
-                total_detected,
-            },
-            stats,
-            footprint,
-        }
-    }
-}
-
 /// DTRG detection behind the online-parallel [`ParMonitor`] surface.
 ///
 /// `fork` creates one [`RaceDetector`] replica per worker; the online
@@ -598,7 +530,7 @@ impl LocRoutable for RaceDetector {
 /// cheap — each maintains an identical DTRG) and routes each access to the
 /// replica that owns its location (the default [`ParMonitor::route`]:
 /// `loc % workers`). `merge` finishes every replica and folds the
-/// per-shard [`DtrgReport`]s through [`LocRoutable::merge_sharded`], so
+/// per-shard [`DtrgReport`]s through [`Checkpointable::merge_sharded`], so
 /// the online race report is byte-identical to the serial run's — the
 /// same contract the offline sharded replayer relies on, reached through
 /// the canonical access stream the online walker reconstructs.
@@ -665,6 +597,72 @@ impl ParMonitor for OnlineDtrg {
 const DTRG_STATE_VERSION: u64 = 3;
 
 impl Checkpointable for RaceDetector {
+    /// Merges per-shard [`DtrgReport`]s back into the serial result.
+    ///
+    /// The race report merge is byte-identical to the serial run (see the
+    /// soundness argument in `futrace-offline`'s `supervise` module):
+    /// concatenate in shard order, stable-sort by global access index,
+    /// re-apply the global cap taken from `self`'s configuration. Statistics merge
+    /// field-wise: control-derived counters (task counts, gets, merges,
+    /// non-tree edges) are identical in every replica so shard 0's values
+    /// are taken verbatim; access-derived counters (reads, writes,
+    /// `precede` calls, stored readers, the reader-count distribution) are
+    /// summed across shards. The one backend-dependent counter is
+    /// `visit_expansions`: path compression interleaves differently across
+    /// replicas, so its merged value is the sum of per-shard costs, not the
+    /// serial run's cost.
+    fn merge_sharded(self, shards: Vec<DtrgReport>) -> DtrgReport {
+        let mut stats = shards
+            .first()
+            .map(|s| s.stats.clone())
+            .unwrap_or_default();
+        stats.reads = 0;
+        stats.writes = 0;
+        stats.readers_at_access = Default::default();
+        stats.dtrg.precede_calls = 0;
+        stats.dtrg.visit_expansions = 0;
+        stats.dtrg.memo_hits = 0;
+        stats.dtrg.memo_misses = 0;
+        stats.dtrg.shadow_hits = 0;
+
+        let mut footprint = shards.first().map(|s| s.footprint).unwrap_or(MemoryFootprint {
+            dtrg_tasks: 0,
+            stored_nt_edges: 0,
+            shadow_cells: 0,
+            stored_readers: 0,
+        });
+        footprint.stored_readers = 0;
+
+        let mut races: Vec<Race> = Vec::new();
+        let mut total_detected = 0u64;
+        for shard in shards {
+            total_detected += shard.report.total_detected;
+            races.extend(shard.report.races);
+            stats.reads += shard.stats.reads;
+            stats.writes += shard.stats.writes;
+            stats
+                .readers_at_access
+                .merge(&shard.stats.readers_at_access);
+            stats.dtrg.precede_calls += shard.stats.dtrg.precede_calls;
+            stats.dtrg.visit_expansions += shard.stats.dtrg.visit_expansions;
+            stats.dtrg.memo_hits += shard.stats.dtrg.memo_hits;
+            stats.dtrg.memo_misses += shard.stats.dtrg.memo_misses;
+            stats.dtrg.shadow_hits += shard.stats.dtrg.shadow_hits;
+            footprint.stored_readers += shard.footprint.stored_readers;
+        }
+        races.sort_by_key(|r| r.access_index);
+        races.truncate(self.config.max_reports);
+
+        DtrgReport {
+            report: RaceReport {
+                races,
+                total_detected,
+            },
+            stats,
+            footprint,
+        }
+    }
+
     /// Serializes the access-derived half of the detector: shadow-cell
     /// contents, discovered races, the dedup set, access counters, and the
     /// DTRG query-cost counters. Control-derived state (the DTRG itself,

@@ -14,7 +14,7 @@
 //! here from `futrace-bench`) because corpus jobs run *every* detector,
 //! not just the DTRG front door in the umbrella crate's `Analyze`
 //! builder — both ride the same engine (`run_analysis` and the
-//! sharded/supervised pipelines in `futrace-offline`) underneath.
+//! sharded pipeline in `futrace-offline`) underneath.
 //! `futrace_bench::detectors` re-exports this module, so existing CLI
 //! call sites are unchanged.
 
@@ -49,7 +49,7 @@ pub const REPORT_JSON: &str = "report.json";
 /// File name of the markdown report inside the output dir.
 pub const REPORT_MD: &str = "report.md";
 
-/// Chunk size used when feeding decoded events to the supervised
+/// Chunk size used when feeding decoded events to the sharded
 /// pipeline (mirrors the umbrella `Analyze` builder's constant).
 const SYNTHETIC_CHUNK_EVENTS: u64 = 4096;
 
@@ -67,8 +67,6 @@ pub struct CorpusOptions {
     /// Shard count for shardable detectors (`dtrg`, `vc`); others always
     /// run serial. `None` = everything serial.
     pub shards: Option<usize>,
-    /// Run shardable detectors under the fault-tolerant supervisor.
-    pub supervised: bool,
     /// Lenient trace reads: skip CRC-damaged chunks instead of failing.
     pub lenient: bool,
     /// Ignore (truncate) any existing manifest instead of resuming.
@@ -97,7 +95,6 @@ impl CorpusOptions {
             max_parallel: 1,
             policy: FailurePolicy::Continue,
             shards: None,
-            supervised: false,
             lenient: false,
             fresh: false,
             stop_after_jobs: None,
@@ -232,7 +229,7 @@ fn decode_trace(blob: &[u8], lenient: bool) -> Result<(Vec<Event>, u64), String>
 }
 
 /// Runs one detector over decoded events along the configured path
-/// (serial / sharded / supervised), returning verdict + cache counters.
+/// (serial or sharded), returning verdict + cache counters.
 fn run_detector(
     name: &str,
     events: &[Event],
@@ -241,7 +238,7 @@ fn run_detector(
     let shards = opts.shards.filter(|_| is_shardable(name));
     let report = match shards {
         None => detectors::run_on_recorded(name, events).report,
-        Some(n) if opts.supervised => {
+        Some(n) => {
             let plan = SupervisorPlan {
                 shard: ShardPlan::with_shards(n),
                 ..SupervisorPlan::default()
@@ -257,25 +254,13 @@ fn run_detector(
                 &plan,
                 None,
             )
-            .map_err(|e| format!("supervised run failed: {e}"))?;
+            .map_err(|e| format!("sharded run failed: {e}"))?;
             match out {
                 SupervisedOutcome::Completed { report, .. } => report,
                 SupervisedOutcome::Suspended { .. } => {
                     unreachable!("no stop_after_chunks requested")
                 }
             }
-        }
-        Some(n) => {
-            let plan = ShardPlan::with_shards(n);
-            let run = match detectors::run_sharded_on_events(
-                name,
-                events.iter().cloned().map(Ok::<_, Infallible>),
-                &plan,
-            ) {
-                Ok(run) => run,
-                Err(never) => match never {},
-            };
-            run.report
         }
     };
     let (hits, misses) = report.cache_counters().unwrap_or((0, 0));
@@ -303,7 +288,6 @@ pub fn run_corpus(root: &Path, opts: &CorpusOptions) -> Result<CorpusOutcome, Co
     let config = RunConfig {
         detectors: opts.detectors.clone(),
         shards: opts.shards.unwrap_or(0) as u64,
-        supervised: opts.supervised,
         lenient: opts.lenient,
     };
     let manifest_path = opts.out_dir.join(MANIFEST_FILE);

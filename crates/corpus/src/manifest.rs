@@ -17,7 +17,7 @@
 //! is skipped on the next run, everything else re-executes.
 //!
 //! The config block pins the option set the records were produced under
-//! (detector list, shards, supervised, lenient). Resuming with different
+//! (detector list, shards, lenient). Resuming with different
 //! options would silently mix incomparable results, so a mismatch is a
 //! hard [`ManifestError::ConfigMismatch`] — the CLI tells the user to
 //! pass `--fresh`.
@@ -34,11 +34,13 @@ use std::path::Path;
 const MAGIC: &[u8; 4] = b"FMAN";
 // v2 added `trace_crc` to every record (content-hash invalidation).
 // v3 added `retries` (attempts the job's verdict absorbed beyond its
-// first) so retry telemetry survives resume. Old manifests fail with
-// `ManifestError::Version` — v1 records carry no hash to validate
-// against, and a v2 record decoded as v3 would misread its tail;
+// first) so retry telemetry survives resume. v4 dropped the config
+// block's `supervised` byte (every sharded run is supervised). Old
+// manifests fail with `ManifestError::Version` — v1 records carry no
+// hash to validate against, a v2 record decoded as v3 would misread its
+// tail, and a v3 config block decoded as v4 would misread `lenient`;
 // `--fresh` is the upgrade path.
-const VERSION: u64 = 3;
+const VERSION: u64 = 4;
 
 /// Name of the manifest file inside the corpus output directory.
 pub const MANIFEST_FILE: &str = "corpus.fman";
@@ -51,8 +53,6 @@ pub struct RunConfig {
     pub detectors: Vec<String>,
     /// Shard count for shardable detectors (0 = serial).
     pub shards: u64,
-    /// Whether shardable detectors ran under the supervisor.
-    pub supervised: bool,
     /// Whether trace reads were lenient (skip damaged chunks).
     pub lenient: bool,
 }
@@ -158,9 +158,9 @@ impl fmt::Display for ManifestError {
             ManifestError::ConfigMismatch { found } => write!(
                 f,
                 "manifest was written with different options \
-                 (detectors={:?}, shards={}, supervised={}, lenient={}); \
+                 (detectors={:?}, shards={}, lenient={}); \
                  rerun with --fresh to discard it",
-                found.detectors, found.shards, found.supervised, found.lenient
+                found.detectors, found.shards, found.lenient
             ),
             ManifestError::Corrupt(what) => write!(f, "corrupt manifest: {what}"),
         }
@@ -193,7 +193,6 @@ fn encode_config(cfg: &RunConfig) -> Vec<u8> {
         wire::put_str(&mut buf, d);
     }
     wire::put_varint(&mut buf, cfg.shards);
-    buf.push(cfg.supervised as u8);
     buf.push(cfg.lenient as u8);
     buf
 }
@@ -210,12 +209,10 @@ fn decode_config(payload: &[u8]) -> Result<RunConfig, ManifestError> {
         detectors.push(c.str("detector").map_err(wire_corrupt)?.to_string());
     }
     let shards = c.varint("shards").map_err(wire_corrupt)?;
-    let supervised = c.bytes_u8("supervised")? != 0;
     let lenient = c.bytes_u8("lenient")? != 0;
     Ok(RunConfig {
         detectors,
         shards,
-        supervised,
         lenient,
     })
 }
@@ -422,7 +419,6 @@ mod tests {
         RunConfig {
             detectors: vec!["dtrg".into(), "vc".into()],
             shards: 0,
-            supervised: false,
             lenient: true,
         }
     }

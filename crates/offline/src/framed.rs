@@ -305,6 +305,7 @@ impl<'a> FramedEvents<'a> {
 impl Iterator for FramedEvents<'_> {
     type Item = Result<Event, FrameError>;
 
+    #[inline]
     fn next(&mut self) -> Option<Self::Item> {
         loop {
             if self.done {

@@ -1,15 +1,43 @@
-//! Supervised sharded analysis: fault-isolated workers, a watchdog, and
-//! recovery by restart-from-snapshot, degrade-to-serial, or
-//! suspend-to-checkpoint (DESIGN S38).
+//! Sharded offline race detection: parallel replay of a recorded trace
+//! with a verdict identical to the serial detector's, under a supervisor
+//! that isolates worker faults (DESIGN S35, S38, S48).
 //!
-//! The plain [`crate::shard`] pipeline assumes nothing goes wrong: a
-//! panicking worker aborts the process, a wedged worker hangs the router
-//! forever, and a killed process loses all progress. This module wraps the
-//! same routing discipline in a supervisor:
+//! ## Why sharding is sound
+//!
+//! The DTRG detector splits into two halves (its `apply_control` versus
+//! `check_read_at`/`check_write_at`):
+//!
+//! * **DTRG maintenance** is driven only by control events (task
+//!   create/end, finish start/end, `get`) — a few per *task*, not per
+//!   *access*. Broadcasting them gives every shard a byte-identical DTRG
+//!   replica, because DTRG updates never depend on shadow memory.
+//! * **Shadow checks** (Algorithms 8–9) touch exactly one location each
+//!   and only *read* the DTRG. Routing accesses by `loc % N` therefore
+//!   partitions the check work with no cross-shard communication at all.
+//!
+//! Each access carries its global index from the router's single pass, so
+//! per-shard race reports can be merged back into exactly the serial
+//! detection order: the serial detector reports races in increasing
+//! access index, ties (several races at one access) happen within one
+//! location and therefore one shard, and the per-location dedup/cap logic
+//! makes identical decisions because each shard sees its locations' full
+//! access subsequence. A stable merge by access index followed by the
+//! global report cap is thus byte-identical to the serial report
+//! (`tests/shard_equivalence.rs` asserts this over random programs).
+//!
+//! The pipeline is decode → route → N workers over bounded channels
+//! ([`crate::channel`]), so decode backpressure bounds memory and the
+//! shadow-check hot path runs on all cores.
+//!
+//! ## Supervision
+//!
+//! A panicking worker must not abort the process, a wedged worker must
+//! not hang the router, and a killed process should not lose all
+//! progress. The supervisor handles each:
 //!
 //! * **Workers are spawned detached** (`std::thread::spawn`, not a scope)
 //!   with the analysis loop under `catch_unwind`, so a worker panic
-//!   becomes a [`FromWorker::Died`] message instead of a process abort,
+//!   becomes a `FromWorker::Died` message instead of a process abort,
 //!   and a wedged worker can be *abandoned* — the supervisor drops its
 //!   sender and moves on, which a scoped join could never do.
 //! * **The watchdog** bounds every wait: routing uses
@@ -37,13 +65,20 @@
 //!   (`tests/fault_tolerance.rs` proves this over random programs and
 //!   kill points).
 //!
+//! Recovery state follows the plan. A plan with no snapshot interval, no
+//! stop point and no resume checkpoint can never restart a worker from a
+//! snapshot, so the supervisor keeps neither the control prefix nor the
+//! replay buffers for it: every shard starts unrestartable, and a worker
+//! that dies degrades the run to the serial pass, which re-reads the
+//! stream and so keeps the serial verdict (DESIGN S48). A fault-free run
+//! therefore holds no second copy of the stream.
+//!
 //! Every decision is recorded in a [`SupervisionReport`] so `tracetool
 //! analyze` can surface restarts, degradations, and resumes without
 //! changing the verdict lines CI diffs against.
 
 use crate::channel::{self, Receiver, RecvTimeout, SendTimeout, Sender};
 use crate::checkpoint::{Checkpoint, CheckpointError, RouterProgress, TraceFingerprint};
-use crate::shard::{ShardPlan, ShardStats};
 use futrace_runtime::engine::{Checkpointable, StateError};
 use futrace_runtime::Event;
 use futrace_util::faultinject::{FaultPlan, WorkerFault};
@@ -124,19 +159,74 @@ impl<I: Iterator> ChunkedEvents for SyntheticChunks<I> {
     }
 }
 
+/// Routing parameters of the sharded pipeline.
+#[derive(Clone, Debug)]
+pub struct ShardPlan {
+    /// Number of detect workers (≥ 1; 1 degenerates to serial replay on a
+    /// worker thread).
+    pub shards: usize,
+    /// Events per routed batch (amortizes channel locking).
+    pub batch_events: usize,
+    /// In-flight batches per worker channel (backpressure bound).
+    pub channel_capacity: usize,
+}
+
+impl Default for ShardPlan {
+    fn default() -> Self {
+        ShardPlan {
+            shards: 4,
+            batch_events: 4096,
+            channel_capacity: 4,
+        }
+    }
+}
+
+impl ShardPlan {
+    /// Plan with an explicit shard count and defaults elsewhere.
+    pub fn with_shards(shards: usize) -> Self {
+        ShardPlan {
+            shards,
+            ..ShardPlan::default()
+        }
+    }
+}
+
+/// Pipeline accounting.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Workers used.
+    pub shards: usize,
+    /// Total events routed.
+    pub events: u64,
+    /// Control events broadcast to every shard.
+    pub control_events: u64,
+    /// Read/write events (each routed to exactly one shard).
+    pub accesses: u64,
+    /// Reads among the accesses.
+    pub reads: u64,
+    /// Writes among the accesses.
+    pub writes: u64,
+    /// Accesses checked per shard (indexed by shard).
+    pub per_shard_accesses: Vec<u64>,
+    /// Damaged chunks skipped by a lenient framed read (0 otherwise).
+    pub skipped_chunks: u64,
+}
+
 /// Supervisor configuration.
 #[derive(Clone, Debug)]
 pub struct SupervisorPlan {
-    /// The routing parameters shared with the unsupervised pipeline.
+    /// The routing parameters.
     pub shard: ShardPlan,
     /// Deadline for any single wait on a worker. Expiry marks the worker
     /// stalled and triggers recovery.
     pub watchdog: Duration,
     /// Barrier-snapshot every N chunk boundaries (enables worker restart
-    /// and bounds replay-buffer memory). `None` disables snapshots;
-    /// worker death then degrades to serial unless a restart can replay
-    /// from the stream start (it can, while the stream prefix still fits
-    /// under [`SupervisorPlan::max_replay_ops`]).
+    /// and bounds replay-buffer memory). With an interval set, routed
+    /// batches are retained from the stream start and dropped at each
+    /// snapshot, so a worker that dies before the first snapshot still
+    /// restarts. `None` with no [`SupervisorPlan::stop_after_chunks`] and
+    /// no resume checkpoint keeps no recovery state at all — no control
+    /// prefix, no replay buffer — and a worker death degrades to serial.
     pub checkpoint_every_chunks: Option<u64>,
     /// Suspend into a [`Checkpoint`] once this many chunks (absolute,
     /// including chunks skipped over by a resume) are consumed.
@@ -144,12 +234,13 @@ pub struct SupervisorPlan {
     /// Worker restarts allowed before degrading to serial.
     pub max_restarts: u32,
     /// Cap on ops retained in one shard's replay buffer between
-    /// snapshots. Without a cap a run with snapshots disabled (or a huge
-    /// interval) would hold a second full copy of the op stream, defeating
-    /// the streaming design. On overflow the buffer is discarded and the
-    /// shard is marked unrestartable until the next snapshot; a worker
-    /// death in that window degrades to serial instead of exhausting
-    /// memory.
+    /// snapshots. Batches are retained only when the plan can restart a
+    /// worker: a snapshot interval, a stop point or a resume checkpoint.
+    /// Without a cap a huge interval would hold a second full copy of the
+    /// op stream, defeating the streaming design. On overflow the buffer
+    /// is discarded and the shard is marked unrestartable until the next
+    /// snapshot; a worker death in that window degrades to serial instead
+    /// of exhausting memory.
     pub max_replay_ops: u64,
     /// Fingerprint stamped into produced checkpoints, if known.
     pub fingerprint: Option<TraceFingerprint>,
@@ -214,7 +305,7 @@ impl SupervisionReport {
 pub enum SupervisedOutcome<R> {
     /// The stream was fully analyzed.
     Completed {
-        /// Merged analysis report (identical to the unsupervised verdict).
+        /// Merged analysis report (identical to the serial verdict).
         report: R,
         /// Pipeline accounting.
         stats: ShardStats,
@@ -382,9 +473,9 @@ struct Slot {
     replay: Vec<Vec<Op>>,
     /// Ops currently retained in `replay`.
     replay_ops: u64,
-    /// The replay buffer overflowed [`SupervisorPlan::max_replay_ops`] and
-    /// was discarded; the shard cannot be restarted until the next
-    /// snapshot resets it.
+    /// The shard cannot be restarted until the next snapshot resets this:
+    /// the replay buffer overflowed [`SupervisorPlan::max_replay_ops`] and
+    /// was discarded, or the plan keeps no recovery state at all.
     replay_lost: bool,
     /// Last snapshot of this shard's access-derived state.
     snapshot: Option<Vec<u8>>,
@@ -414,7 +505,8 @@ where
     next_epoch: u64,
     /// Every control event consumed so far — the replay source for both
     /// worker restart and checkpoint files. Small by the control/access
-    /// asymmetry that justifies sharding in the first place.
+    /// asymmetry that justifies sharding in the first place. Left empty
+    /// when the plan keeps no recovery state.
     control_prefix: Vec<Event>,
     /// `control_prefix` length at the last completed snapshot.
     snapshot_control_len: usize,
@@ -712,13 +804,16 @@ where
     }
 }
 
-/// Runs the supervised sharded pipeline.
+/// Runs the sharded pipeline under the supervisor.
 ///
 /// `make_events` must produce a *fresh* stream over the same trace on
 /// every call — the supervisor re-reads from the start for degradation
 /// and resume skipping. `factory` builds one analysis replica; the merged
-/// report uses [`futrace_runtime::engine::LocRoutable::merge_sharded`] and
-/// is identical to the unsupervised (and serial) verdict.
+/// report uses [`Checkpointable::merge_sharded`] and is identical to the
+/// serial verdict.
+///
+/// On a stream error the workers are shut down first, then the error is
+/// returned — no partial verdict is reported.
 pub fn run_supervised<A, I, E, MF, F>(
     make_events: MF,
     factory: F,
@@ -738,6 +833,11 @@ where
     };
     let batch_cap = plan.shard.batch_events.max(1);
     let (results_tx, results_rx) = channel::bounded(n.max(4) * 4);
+    // Only a snapshot interval, a stop point or a resume can use the
+    // control prefix and the replay buffers (see the module docs).
+    let keeps_recovery_state = plan.checkpoint_every_chunks.is_some()
+        || plan.stop_after_chunks.is_some()
+        || resume.is_some();
 
     let mut sup = Supervisor {
         factory,
@@ -749,7 +849,7 @@ where
                 epoch: 0,
                 replay: Vec::new(),
                 replay_ops: 0,
-                replay_lost: false,
+                replay_lost: !keeps_recovery_state,
                 snapshot: None,
                 snapshot_accesses: 0,
                 panic_at: plan.worker_panic.as_ref().and_then(|f| f.trigger_for(shard, n)),
@@ -927,7 +1027,9 @@ where
             }
             control => {
                 router.control_events += 1;
-                sup.control_prefix.push(control.clone());
+                if keeps_recovery_state {
+                    sup.control_prefix.push(control.clone());
+                }
                 for shard in 0..n {
                     buffers[shard].push(Op::Control(control.clone()));
                     if buffers[shard].len() >= batch_cap {
@@ -1050,8 +1152,8 @@ where
 mod tests {
     use super::*;
     use crate::TraceError;
-    use futrace_detector::{RaceDetector, RaceReport};
-    use futrace_runtime::{replay, run_serial, EventLog, TaskCtx};
+    use futrace_detector::{DetectorConfig, RaceDetector, RaceReport};
+    use futrace_runtime::{replay, run_serial, trace, EventLog, TaskCtx};
 
     fn racy_log() -> EventLog {
         let mut log = EventLog::new();
@@ -1089,6 +1191,17 @@ mod tests {
             watchdog: Duration::from_millis(500),
             stall_for: Duration::from_millis(40),
             ..SupervisorPlan::default()
+        }
+    }
+
+    fn completed<R>(out: SupervisedOutcome<R>) -> (R, ShardStats, SupervisionReport) {
+        match out {
+            SupervisedOutcome::Completed {
+                report,
+                stats,
+                supervision,
+            } => (report, stats, supervision),
+            SupervisedOutcome::Suspended { .. } => panic!("expected completion"),
         }
     }
 
@@ -1169,13 +1282,14 @@ mod tests {
 
     #[test]
     fn replay_overflow_degrades_to_serial() {
-        // With no snapshots and a tiny replay cap, the buffer overflows
-        // immediately; a worker death in that window cannot restart and
-        // must degrade to the (still correct) serial path rather than
-        // retain the whole stream.
+        // With an interval too long to ever snapshot and a tiny replay
+        // cap, the buffer overflows immediately; a worker death in that
+        // window cannot restart and must degrade to the (still correct)
+        // serial path rather than retain the whole stream.
         let log = racy_log();
         let serial = serial_report(&log);
         let mut plan = plan_for_tests(2);
+        plan.checkpoint_every_chunks = Some(1_000);
         plan.max_replay_ops = 1;
         plan.worker_panic = Some(WorkerFault { shard: 0, at_op: 5 });
         let out =
@@ -1198,6 +1312,7 @@ mod tests {
         let log = racy_log();
         let serial = serial_report(&log);
         let mut plan = plan_for_tests(2);
+        plan.checkpoint_every_chunks = Some(1);
         plan.max_restarts = 0;
         plan.worker_panic = Some(WorkerFault { shard: 0, at_op: 5 });
         let out =
@@ -1213,6 +1328,151 @@ mod tests {
         assert_eq!(report.report.races, serial.races, "degraded verdict is serial");
         assert_eq!(supervision.degradations, 1);
         assert_eq!(stats.shards, 1, "degraded run is serial");
+    }
+
+    #[test]
+    fn fault_free_plan_keeps_no_recovery_state() {
+        // No interval, stop point or resume: nothing could restart a
+        // worker from a snapshot, so nothing is retained and the panic
+        // degrades to the serial pass, which re-reads the stream.
+        let log = racy_log();
+        let serial = serial_report(&log);
+        let mut plan = plan_for_tests(2);
+        plan.worker_panic = Some(WorkerFault { shard: 1, at_op: 9 });
+        let (report, stats, supervision) =
+            completed(run_supervised(events_of(&log), RaceDetector::new, &plan, None).unwrap());
+        assert_eq!(
+            report.report.races, serial.races,
+            "degraded verdict is serial"
+        );
+        assert_eq!(report.report.total_detected, serial.total_detected);
+        assert_eq!(supervision.shard_restarts, 0, "{supervision:?}");
+        assert_eq!(supervision.degradations, 1, "{supervision:?}");
+        assert_eq!(stats.shards, 1, "degraded run is serial");
+    }
+
+    #[test]
+    fn sharded_matches_serial_on_racy_program() {
+        let log = racy_log();
+        let serial = serial_report(&log);
+        assert!(serial.has_races());
+        for shards in [1usize, 2, 3, 8] {
+            // Tiny batches stress the channel path.
+            let plan = plan_for_tests(shards);
+            let (report, stats, _) =
+                completed(run_supervised(events_of(&log), RaceDetector::new, &plan, None).unwrap());
+            assert_eq!(report.report.total_detected, serial.total_detected);
+            assert_eq!(report.report.races, serial.races, "shards={shards}");
+            assert_eq!(stats.shards, shards);
+            assert_eq!(stats.per_shard_accesses.iter().sum::<u64>(), stats.accesses);
+            assert_eq!(stats.reads + stats.writes, stats.accesses);
+        }
+    }
+
+    #[test]
+    fn blob_entrypoint_handles_both_formats() {
+        let log = racy_log();
+        let serial = serial_report(&log);
+        let v1 = trace::encode(&log.events);
+        let plan = SupervisorPlan {
+            shard: ShardPlan::with_shards(2),
+            ..SupervisorPlan::default()
+        };
+        let (report, _, _) = completed(
+            run_supervised(
+                || crate::trace_events(&v1, false),
+                RaceDetector::new,
+                &plan,
+                None,
+            )
+            .unwrap(),
+        );
+        assert_eq!(report.report.races, serial.races);
+
+        let mut w = crate::StreamWriter::with_chunk_bytes(Vec::new(), 128).unwrap();
+        for e in &log.events {
+            w.record(e);
+        }
+        let (v2, _) = w.finish().unwrap();
+        let plan = SupervisorPlan {
+            shard: ShardPlan::with_shards(3),
+            ..SupervisorPlan::default()
+        };
+        let (report, stats, _) = completed(
+            run_supervised(
+                || crate::trace_events(&v2, false),
+                RaceDetector::new,
+                &plan,
+                None,
+            )
+            .unwrap(),
+        );
+        assert_eq!(report.report.races, serial.races);
+        assert_eq!(stats.skipped_chunks, 0);
+    }
+
+    #[test]
+    fn stream_error_propagates_cleanly() {
+        let log = racy_log();
+        let mut blob = trace::encode(&log.events);
+        blob.push(99); // unknown tag at the tail
+        let plan = SupervisorPlan {
+            shard: ShardPlan::with_shards(2),
+            ..SupervisorPlan::default()
+        };
+        match run_supervised(
+            || crate::trace_events(&blob, false),
+            RaceDetector::new,
+            &plan,
+            None,
+        ) {
+            Err(SuperviseError::Stream(err)) => {
+                assert!(err.to_string().contains("malformed"), "{err}")
+            }
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(_) => panic!("a malformed stream must fail"),
+        }
+    }
+
+    #[test]
+    fn report_cap_is_global_not_per_shard() {
+        // 8 distinct racy locations; cap at 3 reports. The sharded merge
+        // must keep the *first three in serial order*, not three per shard.
+        let mut log = EventLog::new();
+        run_serial(&mut log, |ctx| {
+            let a = ctx.shared_array(8, 0u64, "a");
+            for i in 0..8usize {
+                let aw = a.clone();
+                ctx.async_task(move |ctx| aw.write(ctx, i, 1));
+            }
+            for i in 0..8usize {
+                a.write(ctx, i, 2);
+            }
+        });
+        let config = DetectorConfig {
+            max_reports: 3,
+            ..DetectorConfig::default()
+        };
+        let mut det = RaceDetector::with_config(config.clone());
+        replay(&log.events, &mut det);
+        let serial = det.into_report();
+        assert_eq!(serial.races.len(), 3);
+
+        let plan = SupervisorPlan {
+            shard: ShardPlan::with_shards(4),
+            ..SupervisorPlan::default()
+        };
+        let (report, _, _) = completed(
+            run_supervised(
+                events_of(&log),
+                || RaceDetector::with_config(config.clone()),
+                &plan,
+                None,
+            )
+            .unwrap(),
+        );
+        assert_eq!(report.report.races, serial.races);
+        assert_eq!(report.report.total_detected, serial.total_detected);
     }
 
     #[test]

@@ -15,11 +15,12 @@ use futrace_baselines::VectorClockDetector;
 use futrace_benchsuite::randomprog::{self, GenParams};
 use futrace_detector::{RaceDetector, RaceReport};
 use futrace_offline::{
-    detect_sharded, detect_sharded_events, run_sharded_events, ShardOptions, ShardPlan,
-    StreamWriter,
+    run_supervised, trace_events, ChunkedEvents, ShardPlan, StreamWriter, SupervisedOutcome,
+    SupervisorPlan, SyntheticChunks,
 };
 use futrace_runtime::engine::run_analysis_recorded;
-use futrace_runtime::{replay, run_serial, EventLog};
+use futrace_runtime::engine::Checkpointable;
+use futrace_runtime::{replay, run_serial, Event, EventLog};
 use futrace_util::propcheck::{self, strategies, Config};
 use std::convert::Infallible;
 
@@ -40,17 +41,45 @@ fn serial_report(log: &EventLog) -> RaceReport {
     det.into_report()
 }
 
+/// Runs the sharded pipeline with a fault-free plan and returns the
+/// merged report. A worker that panics would degrade the run to a serial
+/// pass with the serial verdict, so the run must also have stayed sharded.
+fn sharded<A, I, E>(make_events: impl Fn() -> I, plan: ShardPlan, factory: fn() -> A) -> A::Report
+where
+    A: Checkpointable + Send + 'static,
+    A::Report: Send + 'static,
+    I: ChunkedEvents + Iterator<Item = Result<Event, E>>,
+    E: std::fmt::Debug,
+{
+    let shards = plan.shards;
+    let plan = SupervisorPlan {
+        shard: plan,
+        ..SupervisorPlan::default()
+    };
+    match run_supervised(make_events, factory, &plan, None).expect("stream decodes") {
+        SupervisedOutcome::Completed {
+            report,
+            stats,
+            supervision,
+        } => {
+            assert!(!supervision.any(), "{shards} shards: {supervision:?}");
+            assert_eq!(stats.shards, shards, "the run must not degrade to serial");
+            report
+        }
+        SupervisedOutcome::Suspended { .. } => unreachable!("no stop point requested"),
+    }
+}
+
 fn assert_equivalent(serial: &RaceReport, log: &EventLog, shards: usize, ctx: &str) {
-    let opts = ShardOptions {
+    let plan = ShardPlan {
         shards,
         // Small batches + tight channels stress the pipeline's ordering
         // and backpressure; correctness must not depend on batching.
         batch_events: 32,
         channel_capacity: 2,
-        ..ShardOptions::default()
     };
-    let stream = log.events.iter().cloned().map(Ok::<_, Infallible>);
-    let out = detect_sharded_events(stream, &opts).expect("infallible stream");
+    let events = || SyntheticChunks::new(log.events.iter().cloned().map(Ok::<_, Infallible>), 4096);
+    let out = sharded(events, plan, RaceDetector::new);
     assert_eq!(
         out.report.total_detected, serial.total_detected,
         "{ctx}: verdict diverged at {shards} shards"
@@ -108,7 +137,11 @@ fn sharded_equals_serial_through_the_framed_format() {
         }
         let (blob, _) = w.finish().unwrap();
         for shards in SHARD_COUNTS {
-            let out = detect_sharded(&blob, &ShardOptions::with_shards(shards), false).unwrap();
+            let out = sharded(
+                || trace_events(&blob, false),
+                ShardPlan::with_shards(shards),
+                RaceDetector::new,
+            );
             assert_eq!(out.report.races, serial.races, "seed {seed}, {shards} shards");
             assert_eq!(out.report.total_detected, serial.total_detected);
         }
@@ -117,7 +150,7 @@ fn sharded_equals_serial_through_the_framed_format() {
 
 #[test]
 fn vector_clock_shards_like_the_dtrg_detector() {
-    // The generic pipeline is not DTRG-specific: any `LocRoutable`
+    // The generic pipeline is not DTRG-specific: any `Checkpointable`
     // analysis shards with a serial-identical verdict. The vector-clock
     // baseline's clocks are mutated only by control events (broadcast to
     // every replica) and its shadow state is per-location (routed), so it
@@ -132,15 +165,16 @@ fn vector_clock_shards_like_the_dtrg_detector() {
                 let mut plan = ShardPlan::with_shards(shards);
                 plan.batch_events = 32;
                 plan.channel_capacity = 2;
-                let stream = log.events.iter().cloned().map(Ok::<_, Infallible>);
-                let out = run_sharded_events(stream, &plan, VectorClockDetector::new)
-                    .expect("infallible stream");
+                let events = || {
+                    SyntheticChunks::new(log.events.iter().cloned().map(Ok::<_, Infallible>), 4096)
+                };
+                let out = sharded(events, plan, VectorClockDetector::new);
                 assert_eq!(
-                    out.report.races, serial.races,
+                    out.races, serial.races,
                     "seed {seed}, {shards} shards: vc race count diverged"
                 );
                 assert_eq!(
-                    out.report.notes, serial.notes,
+                    out.notes, serial.notes,
                     "seed {seed}, {shards} shards: control-derived notes must be replica-identical"
                 );
             }

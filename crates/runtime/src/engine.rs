@@ -15,8 +15,9 @@
 //!   **access checks** are addressed to a single location and carry an
 //!   explicit global access index. The split is what makes offline
 //!   sharding possible (broadcast control, route accesses by location);
-//!   analyses whose checks really are location-independent additionally
-//!   implement [`LocRoutable`].
+//!   analyses whose checks really are location-independent, and whose
+//!   access-derived state can be saved, additionally implement
+//!   [`Checkpointable`].
 //! * [`EventSource`] — the producer side. Live serial execution, an
 //!   in-memory recorded event log, and streamed trace decoding (flat v1 or
 //!   framed v2, strict or lenient) all implement it, so
@@ -125,23 +126,6 @@ pub struct AccessOp {
     pub write: bool,
 }
 
-/// Capability marker for analyses whose access checks are independent per
-/// location: control events may be broadcast to replicas and accesses
-/// routed by `loc % N` without changing any verdict.
-///
-/// The DTRG detector and the vector-clock baseline qualify (their
-/// control-driven state never depends on shadow memory, and each check
-/// touches exactly one shadow cell). Baselines that need the global
-/// access order — or that finalize over the whole recorded graph, like
-/// the transitive-closure oracle — simply do not implement this trait,
-/// which is what "opting out" of the sharded backend means.
-pub trait LocRoutable: Analysis {
-    /// Merges per-shard reports (given in shard order) into the report the
-    /// serial run would have produced. `self` is a fresh, unused instance
-    /// whose configuration (e.g. report caps) governs the merge.
-    fn merge_sharded(self, shards: Vec<Self::Report>) -> Self::Report;
-}
-
 /// Error restoring an analysis from a checkpoint state blob: the blob is
 /// truncated, corrupt, or was written by an incompatible analysis.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -161,8 +145,18 @@ impl From<futrace_util::wire::WireError> for StateError {
     }
 }
 
-/// A [`LocRoutable`] analysis whose *access-derived* state can be
+/// An analysis that may run in the sharded pipeline: its access checks
+/// are independent per location, and its *access-derived* state can be
 /// serialized and restored, enabling checkpoint/resume (DESIGN S38).
+///
+/// Independence per location means control events may be broadcast to
+/// replicas and accesses routed by `loc % N` without changing any
+/// verdict. The DTRG detector and the vector-clock baseline qualify
+/// (their control-driven state never depends on shadow memory, and each
+/// check touches exactly one shadow cell). Baselines that need the global
+/// access order — or that finalize over the whole recorded graph, like
+/// the transitive-closure oracle — simply do not implement this trait,
+/// which is what "opting out" of the sharded backend means.
 ///
 /// The split matters: control-driven state (the DTRG, vector clocks,
 /// task/finish bookkeeping) is rebuilt exactly by replaying the compact
@@ -178,7 +172,12 @@ impl From<futrace_util::wire::WireError> for StateError {
 /// running S must produce the same report as running P then S directly.
 /// Backend-cost counters (e.g. DTRG query expansions) are exempt, as they
 /// already are for the sharded merge.
-pub trait Checkpointable: LocRoutable {
+pub trait Checkpointable: Analysis {
+    /// Merges per-shard reports (given in shard order) into the report the
+    /// serial run would have produced. `self` is a fresh, unused instance
+    /// whose configuration (e.g. report caps) governs the merge.
+    fn merge_sharded(self, shards: Vec<Self::Report>) -> Self::Report;
+
     /// Appends the access-derived state to `out` (self-delimiting).
     fn save_state(&self, out: &mut Vec<u8>);
 

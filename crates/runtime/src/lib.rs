@@ -50,7 +50,7 @@ pub mod trace;
 pub use api::TaskCtx;
 pub use engine::{
     run_analysis, run_analysis_live, run_analysis_recorded, Analysis, AnalysisOutcome,
-    Checkpointable, Engine, EngineCounters, EventSource, LocRoutable, StateError,
+    Checkpointable, Engine, EngineCounters, EventSource, StateError,
 };
 pub use labels::TaskLabel;
 pub use memory::{SharedArray, SharedVar};

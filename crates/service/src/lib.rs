@@ -7,8 +7,8 @@
 //!   trace chunks (or a whole blob / event list), emits a
 //!   [`VerdictDelta`] per chunk, can suspend to an FCKP checkpoint and
 //!   resume with skip-completed-chunk semantics, and finishes through
-//!   the serial, sharded, or supervised backend. The `futrace::Analyze`
-//!   builder and `tracetool analyze` are thin wrappers over it.
+//!   the serial or the sharded backend. The `futrace::Analyze` builder
+//!   is a thin wrapper over it.
 //! * [`server`] — `tracetool serve`: a std-only TCP daemon multiplexing
 //!   N concurrent sessions over a fixed worker pool, with bounded-queue
 //!   backpressure on accept, graceful drain (every in-flight session is

@@ -3,8 +3,8 @@
 //! A [`Session`] owns exactly one DTRG analysis run. It can be fed four
 //! ways — a program run under the serial executor, a whole trace blob, a
 //! whole decoded event list, or chunk by chunk as frames arrive over the
-//! wire — and finished through any of the three backends (serial,
-//! sharded, supervised) the one-shot pipeline already had. The
+//! wire — and finished through either backend: serial, or the sharded
+//! pipeline that runs under the offline supervisor. The
 //! `futrace::Analyze` builder and `tracetool serve` both ride this type,
 //! so batch and streaming analysis share one code path and one
 //! [`AnalysisOutcome`] shape.
@@ -22,11 +22,10 @@
 //! the final verdict *is* that engine's verdict — the stream was
 //! analyzed as it arrived, nothing is replayed at [`Session::finish`].
 //! Sharded, fault-injected and resumed sessions replay the accumulated
-//! (re-framed) trace through the existing offline pipelines, whose
-//! merged reports are identical to serial by the pipeline's own
-//! equivalence tests.
+//! (re-framed) trace through the sharded pipeline, whose merged reports
+//! are identical to serial by the pipeline's own equivalence tests.
 //!
-//! Suspend/resume uses the supervised pipeline's FCKP checkpoint format.
+//! Suspend/resume uses the sharded pipeline's FCKP checkpoint format.
 //! [`Session::checkpoint`] (and [`Session::suspend`]) cut it straight
 //! from the live engine: the kept control-event prefix, the detector's
 //! access-derived state and the engine's counters, covering every chunk
@@ -42,9 +41,9 @@ use futrace_detector::{
 use futrace_offline::checkpoint::FINGERPRINT_HEAD;
 use futrace_offline::framed;
 use futrace_offline::{
-    run_sharded_events, run_supervised, trace_chunks, trace_events, Checkpoint, RouterProgress,
-    ShardPlan, ShardStats, SupervisedOutcome, SuperviseError, SupervisionReport, SupervisorPlan,
-    SyntheticChunks, TraceError, TraceFingerprint,
+    run_supervised, trace_chunks, trace_events, Checkpoint, RouterProgress, ShardPlan, ShardStats,
+    SuperviseError, SupervisedOutcome, SupervisionReport, SupervisorPlan, SyntheticChunks,
+    TraceError, TraceFingerprint,
 };
 use futrace_runtime::engine::{
     run_analysis, source, Analysis, Checkpointable, Engine, EngineCounters,
@@ -56,7 +55,6 @@ use futrace_util::crc32::crc32;
 use futrace_util::faultinject::FaultPlan;
 use futrace_util::ids::{FinishId, LocId, TaskId};
 use futrace_util::stats::Timer;
-use std::convert::Infallible;
 use std::fmt;
 
 /// What can go wrong inside a session, independent of any I/O the caller
@@ -99,10 +97,9 @@ pub struct AnalysisOutcome {
     /// Engine counters: events consumed, checks performed, wall time,
     /// cache hit/miss totals, and any supervision suffix.
     pub engine: EngineCounters,
-    /// Sharded-pipeline accounting, when the sharded or supervised
-    /// backend ran.
+    /// Sharded-pipeline accounting, when the sharded backend ran.
     pub sharding: Option<ShardStats>,
-    /// What the supervisor did, when the supervised backend ran.
+    /// What the supervisor did, when the sharded backend ran.
     pub supervision: Option<SupervisionReport>,
     /// Online-pipeline telemetry (buffer publishes, canonical-walk
     /// frontier waits, per-shard routing), when the source was an
@@ -158,11 +155,11 @@ pub struct SessionConfig {
     /// Sharded backend with this many detect workers; `None` = serial.
     pub shards: Option<usize>,
     /// Checkpoint interval in chunks. Whole-trace and event feeds run the
-    /// supervised backend, barrier-snapshotting every N chunks; a wire
+    /// sharded backend, barrier-snapshotting every N chunks; a wire
     /// session stays on its live engine and its caller cuts
     /// [`Session::checkpoint`]s at this interval.
     pub checkpoint_every: Option<u64>,
-    /// Supervised backend with the deterministic fault plan from a seed.
+    /// Sharded backend with the deterministic fault plan from a seed.
     pub fault_seed: Option<u64>,
     /// Skip damaged trace chunks (counting them) instead of failing.
     pub lenient: bool,
@@ -173,7 +170,7 @@ pub enum ProgramMonitor {
     /// A serial session's detector, checking each event as the program
     /// emits it.
     Live(Engine<RaceDetector>),
-    /// The recording a sharded or supervised backend replays.
+    /// The recording the sharded backend replays.
     Record(EventLog),
 }
 
@@ -293,7 +290,7 @@ impl Session {
     ///
     /// The feeder streams the *full* trace again (wire clients re-send
     /// every chunk; the incremental delta engine re-consumes them so
-    /// deltas stay truthful); at [`Session::finish`] the supervised
+    /// deltas stay truthful); at [`Session::finish`] the sharded
     /// backend skips the chunks the checkpoint already completed, so the
     /// final report is identical to an uninterrupted run.
     pub fn open_resumed(
@@ -383,7 +380,7 @@ impl Session {
     /// dispatch path immediately and returning the incremental verdict.
     ///
     /// The chunk is also appended (re-framed, CRC'd) to the session's
-    /// accumulated trace so the sharded / supervised backends can replay
+    /// accumulated trace so the sharded backend can replay
     /// the exact stream received, and its control events are kept for
     /// [`Session::checkpoint`].
     pub fn feed_chunk(&mut self, payload: &[u8]) -> Result<VerdictDelta, SessionError> {
@@ -439,10 +436,12 @@ impl Session {
         self.cfg.shards.is_none() && self.cfg.fault_seed.is_none() && self.resume.is_none()
     }
 
-    /// The supervised backend's plan, when the configuration asks for that
-    /// backend: a checkpoint interval, a fault plan or a resume.
+    /// The sharded backend's plan, when the configuration asks for that
+    /// backend: a shard count, a checkpoint interval, a fault plan or a
+    /// resume.
     fn supervisor_plan(&self) -> Option<SupervisorPlan> {
-        if self.cfg.checkpoint_every.is_none()
+        if self.cfg.shards.is_none()
+            && self.cfg.checkpoint_every.is_none()
             && self.cfg.fault_seed.is_none()
             && self.resume.is_none()
         {
@@ -557,8 +556,8 @@ impl Session {
         let config = self.cfg.detector.clone();
         let timer = self.timer;
 
-        // Every other combination replays through the existing one-shot
-        // pipelines.
+        // Every other combination replays the stream: through the sharded
+        // pipeline when a plan asks for it, serially otherwise.
         let (blob, events): (Option<Vec<u8>>, Option<Vec<Event>>) = match self.feed {
             Feed::Empty => (None, Some(Vec::new())),
             Feed::Trace(data) => (Some(data), None),
@@ -606,35 +605,6 @@ impl Session {
             let mut outcome = AnalysisOutcome::from_dtrg(report, engine);
             outcome.sharding = Some(stats);
             outcome.supervision = Some(supervision);
-            return Ok(outcome);
-        }
-
-        if let Some(n) = self.cfg.shards {
-            let factory = || RaceDetector::with_config(config.clone());
-            let plan = ShardPlan::with_shards(n);
-            let run = match (&blob, &events) {
-                (Some(data), _) => {
-                    let mut it = trace_events(data, lenient);
-                    let mut run = run_sharded_events(&mut it, &plan, factory)
-                        .map_err(SessionError::Trace)?;
-                    run.stats.skipped_chunks = it.skipped_chunks();
-                    run
-                }
-                (None, Some(events)) => {
-                    let it = events
-                        .iter()
-                        .cloned()
-                        .map(Ok as fn(_) -> Result<_, Infallible>);
-                    match run_sharded_events(it, &plan, factory) {
-                        Ok(run) => run,
-                        Err(never) => match never {},
-                    }
-                }
-                (None, None) => unreachable!("feed resolution always yields one"),
-            };
-            let engine = engine_from_shards(&run.stats, timer.elapsed_ms(), None);
-            let mut outcome = AnalysisOutcome::from_dtrg(run.report, engine);
-            outcome.sharding = Some(run.stats);
             return Ok(outcome);
         }
 

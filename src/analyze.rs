@@ -20,13 +20,17 @@
 //! assert_eq!(outcome.stats.shared_mem(), 2);
 //! ```
 //!
-//! Every run — program, trace file, trace blob, or event slice; serial,
-//! sharded, or supervised — produces the same [`AnalysisOutcome`]: races,
+//! Every run — program, trace file, trace blob, or event slice; serial or
+//! sharded — produces the same [`AnalysisOutcome`]: races,
 //! detector statistics, measured footprint, engine counters (with the
 //! hot-path cache hit/miss totals filled in), and the optional
 //! sharding/supervision accounting. Sources and options compose:
 //! `Analyze::trace(path).shards(4).checkpoint_every(8).run()` replays a
-//! recorded trace through the supervised sharded pipeline.
+//! recorded trace through the sharded pipeline, whose supervisor
+//! snapshots every 8 chunks. There is one sharding pipeline: without a
+//! checkpoint interval or fault plan it keeps no recovery state, and a
+//! worker that dies degrades the run to a serial pass with the same
+//! verdict.
 //!
 //! The builder is a thin shell over the session layer: it opens a
 //! [`crate::service::Session`], feeds it the source, and finishes it —
@@ -143,8 +147,8 @@ impl<'a> Analyze<'a> {
 
     /// Analyzes a serial depth-first execution of `f`. On the default
     /// serial configuration the detector checks the program as it runs.
-    /// The sharded and supervised backends ([`Analyze::shards`],
-    /// [`Analyze::checkpoint_every`], [`Analyze::fault_plan`]) replay a
+    /// The sharded backend ([`Analyze::shards`],
+    /// [`Analyze::checkpoint_every`], [`Analyze::fault_plan`]) replays a
     /// recording of the same execution instead; the serial executor is
     /// deterministic, so the verdict is the same.
     ///
@@ -214,8 +218,8 @@ impl<'a> Analyze<'a> {
         self
     }
 
-    /// Runs under the fault-tolerant supervisor, barrier-snapshotting
-    /// every `chunks` chunk boundaries so dead or stalled workers restart
+    /// Runs the sharded backend with its supervisor barrier-snapshotting
+    /// every `chunks` chunk boundaries, so dead or stalled workers restart
     /// from the last snapshot.
     pub fn checkpoint_every(mut self, chunks: u64) -> Self {
         self.checkpoint_every = Some(chunks);

@@ -36,8 +36,9 @@
 //!
 //! * [`Analyze`] — the builder covering every *source* (DSL program,
 //!   instrumented parallel execution, trace file, trace blob, event
-//!   slice) and every *backend* (serial, sharded, supervised, online
-//!   parallel), always returning one [`AnalysisOutcome`].
+//!   slice) and every *backend* (serial, sharded with or without
+//!   checkpoints, online parallel), always returning one
+//!   [`AnalysisOutcome`].
 //! * [`runtime::online::ParMonitor`] — the trait a custom analysis
 //!   implements to consume the canonical event stream concurrently
 //!   (sharded workers, deterministic merge). Any serial

@@ -17,7 +17,9 @@ use futrace::baselines::{
 use futrace::benchsuite::randomprog::{execute, generate, GenParams, Program};
 use futrace::detector::RaceDetector;
 use futrace::Analyze;
-use futrace::offline::{run_sharded_events, trace_events, ShardPlan, StreamWriter};
+use futrace::offline::{
+    run_supervised, trace_events, ShardPlan, StreamWriter, SupervisedOutcome, SupervisorPlan,
+};
 use futrace::runtime::engine::{run_analysis, run_analysis_live, source, Analysis};
 use futrace::runtime::run_serial;
 use futrace::util::propcheck::{self, strategies, Config};
@@ -198,16 +200,29 @@ fn every_baseline_replays_framed_traces_to_its_live_verdict() {
 
         // The loc-routable detectors must also agree when the same frames
         // are sharded across 3 workers.
-        let plan = ShardPlan::with_shards(3);
+        let plan = SupervisorPlan {
+            shard: ShardPlan::with_shards(3),
+            ..SupervisorPlan::default()
+        };
         let serial = run_analysis(
             source::stream(trace_events(b, false)),
             RaceDetector::new(),
         )
         .expect("serial dtrg");
-        let sharded = run_sharded_events(trace_events(b, false), &plan, RaceDetector::new)
-            .expect("sharded dtrg");
+        let Ok(SupervisedOutcome::Completed {
+            report: sharded,
+            stats,
+            supervision,
+        }) = run_supervised(|| trace_events(b, false), RaceDetector::new, &plan, None)
+        else {
+            panic!("sharded dtrg, seed {seed}");
+        };
+        // A panicking worker would degrade to a serial pass; the run must
+        // have stayed sharded.
+        assert!(!supervision.any(), "dtrg sharded, seed {seed}: {supervision:?}");
+        assert_eq!(stats.shards, 3, "dtrg sharded, seed {seed}");
         assert_eq!(
-            serial.report.report.races, sharded.report.report.races,
+            serial.report.report.races, sharded.report.races,
             "dtrg sharded, seed {seed}"
         );
         let serial_vc = run_analysis(
@@ -215,11 +230,23 @@ fn every_baseline_replays_framed_traces_to_its_live_verdict() {
             VectorClockDetector::new(),
         )
         .expect("serial vc");
-        let sharded_vc =
-            run_sharded_events(trace_events(b, false), &plan, VectorClockDetector::new)
-                .expect("sharded vc");
+        let Ok(SupervisedOutcome::Completed {
+            report: sharded_vc,
+            stats,
+            supervision,
+        }) = run_supervised(
+            || trace_events(b, false),
+            VectorClockDetector::new,
+            &plan,
+            None,
+        )
+        else {
+            panic!("sharded vc, seed {seed}");
+        };
+        assert!(!supervision.any(), "vc sharded, seed {seed}: {supervision:?}");
+        assert_eq!(stats.shards, 3, "vc sharded, seed {seed}");
         assert_eq!(
-            serial_vc.report.races, sharded_vc.report.races,
+            serial_vc.report.races, sharded_vc.races,
             "vc sharded, seed {seed}"
         );
     });

@@ -16,7 +16,9 @@ use std::convert::Infallible;
 
 use futrace::benchsuite::randomprog::{execute, generate, GenParams};
 use futrace::detector::{DetectorConfig, RaceDetector, RaceReport};
-use futrace::offline::{run_sharded_events, ShardPlan};
+use futrace::offline::{
+    run_supervised, ShardPlan, SupervisedOutcome, SupervisorPlan, SyntheticChunks,
+};
 use futrace::runtime::engine::{run_analysis, source};
 use futrace::runtime::{run_serial, Event, EventLog};
 use futrace::util::propcheck::{self, strategies, Config};
@@ -45,12 +47,35 @@ fn serial_report(events: &[Event], caching: bool) -> RaceReport {
 }
 
 fn sharded_report(events: &[Event], shards: usize, caching: bool) -> RaceReport {
-    let plan = ShardPlan::with_shards(shards);
-    let it = events.iter().cloned().map(Ok as fn(Event) -> Result<Event, Infallible>);
-    run_sharded_events(it, &plan, || with_caching(caching))
+    let plan = SupervisorPlan {
+        shard: ShardPlan::with_shards(shards),
+        ..SupervisorPlan::default()
+    };
+    let it = || {
+        SyntheticChunks::new(
+            events
+                .iter()
+                .cloned()
+                .map(Ok as fn(Event) -> Result<Event, Infallible>),
+            4096,
+        )
+    };
+    match run_supervised(it, || with_caching(caching), &plan, None)
         .expect("sharded run is infallible here")
-        .report
-        .report
+    {
+        // A panicking worker would degrade to a serial pass: the run must
+        // have stayed sharded for the comparison to test sharding.
+        SupervisedOutcome::Completed {
+            report,
+            stats,
+            supervision,
+        } => {
+            assert!(!supervision.any(), "{shards} shards: {supervision:?}");
+            assert_eq!(stats.shards, shards, "the run must not degrade to serial");
+            report.report
+        }
+        SupervisedOutcome::Suspended { .. } => unreachable!("no stop point requested"),
+    }
 }
 
 fn assert_reports_identical(label: &str, seed: u64, cached: &RaceReport, uncached: &RaceReport) {
